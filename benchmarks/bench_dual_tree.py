@@ -41,12 +41,13 @@ import numpy as np
 
 from repro.bench import BenchRecord, format_table, write_bench_json
 from repro.bvh.build import build_bvh
-from repro.bvh.force import bvh_accelerations_dual, bvh_accelerations_grouped
+from repro.bvh.force import bvh_tree_view
 from repro.machine.catalog import get_device
 from repro.machine.costmodel import CostModel
 from repro.physics.accuracy import relative_l2_error
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.stdpar.context import ExecutionContext
+from repro.traversal import tree_accelerations
 from repro.workloads import plummer_sphere
 
 PARAMS = GravityParams(softening=0.05)
@@ -98,14 +99,15 @@ def sweep(n: int, *, reps: int = 3) -> list[dict]:
     ref = pairwise_accelerations(x, m, PARAMS, targets=sample)
 
     def grouped(cache, ctx=None):
-        return bvh_accelerations_grouped(
-            bvh, PARAMS, theta=THETA, group_size=GROUP_SIZE,
-            cache=cache, ctx=ctx)
+        return tree_accelerations(bvh_tree_view(bvh), x, m, PARAMS,
+                                  theta=THETA, group_size=GROUP_SIZE,
+                                  cache=cache, ctx=ctx)
 
     def dual(cache, ctx=None):
-        return bvh_accelerations_dual(
-            bvh, PARAMS, theta=THETA, group_size=GROUP_SIZE,
-            cc_mac=CC_MAC, expansion_order=ORDER, cache=cache, ctx=ctx)
+        return tree_accelerations(bvh_tree_view(bvh), x, m, PARAMS,
+                                  traversal="dual", theta=THETA,
+                                  group_size=GROUP_SIZE, cc_mac=CC_MAC,
+                                  expansion_order=ORDER, cache=cache, ctx=ctx)
 
     rows = []
     for mode, fn in (("grouped", grouped), ("dual", dual)):

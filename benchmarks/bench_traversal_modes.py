@@ -48,16 +48,17 @@ import numpy as np
 
 from repro.bench import BenchRecord, format_table, write_bench_json
 from repro.bvh.build import build_bvh
-from repro.bvh.force import bvh_accelerations, bvh_accelerations_grouped
+from repro.bvh.force import bvh_accelerations, bvh_tree_view
 from repro.machine.catalog import get_device
 from repro.machine.costmodel import CostModel
 from repro.obs import MetricsRegistry
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.force import octree_accelerations, octree_accelerations_grouped
+from repro.octree.force import octree_accelerations, octree_tree_view
 from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.accuracy import relative_l2_error
 from repro.physics.gravity import GravityParams
 from repro.stdpar.context import ExecutionContext
+from repro.traversal import tree_accelerations
 from repro.workloads import galaxy_collision
 
 PARAMS = GravityParams(softening=0.05)
@@ -117,14 +118,14 @@ def sweep(n: int, *, group_size: int = GROUP_SIZE, reps: int = 3) -> list[dict]:
     model = CostModel(get_device(DEVICE))
 
     def octree_grouped(c, mode="auto", ctx=None):
-        return octree_accelerations_grouped(
-            pool, x, m, PARAMS, theta=THETA, group_size=group_size,
-            cache=c, eval_mode=mode, ctx=ctx)
+        return tree_accelerations(octree_tree_view(pool), x, m, PARAMS,
+                                  theta=THETA, group_size=group_size, cache=c,
+                                  eval_mode=mode, ctx=ctx)
 
     def bvh_grouped(c, mode="auto", ctx=None):
-        return bvh_accelerations_grouped(
-            bvh, PARAMS, theta=THETA, group_size=group_size,
-            cache=c, eval_mode=mode, ctx=ctx)
+        return tree_accelerations(bvh_tree_view(bvh), x, m, PARAMS,
+                                  theta=THETA, group_size=group_size, cache=c,
+                                  eval_mode=mode, ctx=ctx)
 
     cases = {
         "octree": (lambda: octree_accelerations(pool, x, m, PARAMS,

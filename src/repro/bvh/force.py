@@ -20,30 +20,23 @@ import numpy as np
 
 from repro.bvh.build import BVH
 from repro.bvh.layout import DONE, bvh_dfs_ranks
-from repro.machine.counters import Counters
-from repro.physics.gravity import (
-    FLOPS_PER_INTERACTION,
-    GravityParams,
-    SPECIAL_PER_INTERACTION,
-)
-from repro.physics.multipole import (
-    QUAD_EXTRA_BYTES,
-    QUAD_EXTRA_FLOPS,
-    quadrupole_accel,
-)
+from repro.physics.gravity import GravityParams
+from repro.physics.multipole import quadrupole_accel
 from repro.traversal.engine import (
     KLASS_INTERNAL,
     KLASS_POINT,
     KLASS_SKIP,
     TreeView,
-    account_grouped_force,
-    build_interaction_lists,
-    build_self_pairs,
-    evaluate_interaction_lists,
+    account_lockstep_force,
+    # Re-exported: perfbench's span tests check that from-import
+    # bindings of the list builder in the tree modules are swapped.
+    build_interaction_lists,  # noqa: F401
 )
-from repro.traversal.flat import build_flat_lists
-from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
+
+#: Flops per node visit of the BVH walk (box-extent MAC + step).
+_FLOPS_PER_VISIT = 10.0
+
 
 #: Bytes per node visit: bbox (2 * dim * 8) + com (dim * 8) + mass (8);
 #: escape indices are implicit (computed from the node index).
@@ -115,8 +108,11 @@ def bvh_accelerations(
         act = act[ptr[act] != DONE]
 
     if ctx is not None:
-        _account_force(steps, interactions, dim, simt_width, ctx.counters,
-                       quad_terms=quad_terms)
+        account_lockstep_force(ctx.counters, steps, interactions, dim=dim,
+                               simt_width=simt_width,
+                               visit_bytes=_visit_bytes(dim),
+                               flops_per_visit=_FLOPS_PER_VISIT,
+                               quad_terms=quad_terms)
 
     out = np.empty_like(acc)
     out[bvh.perm] = acc
@@ -163,43 +159,18 @@ def bvh_accelerations_scalar(
     return out
 
 
-def _account_force(
-    steps: np.ndarray,
-    interactions: int,
-    dim: int,
-    simt_width: int,
-    counters: Counters,
-    quad_terms: int = 0,
-) -> None:
-    total = float(steps.sum())
-    n = steps.shape[0]
-    pad = (-n) % simt_width
-    warps = np.pad(steps, (0, pad)).reshape(-1, simt_width)
-    warp_total = float(warps.max(axis=1).sum() * simt_width)
-    vb = _visit_bytes(dim)
-    counters.add(
-        flops=(interactions * FLOPS_PER_INTERACTION + total * 10.0
-               + quad_terms * QUAD_EXTRA_FLOPS),
-        special_flops=interactions * SPECIAL_PER_INTERACTION,
-        bytes_irregular=total * vb + quad_terms * QUAD_EXTRA_BYTES,
-        bytes_read=total * vb + n * dim * 8.0 + quad_terms * QUAD_EXTRA_BYTES,
-        bytes_written=n * dim * 8.0,
-        traversal_steps=total,
-        traversal_steps_max=float(steps.max(initial=0)),
-        warp_traversal_steps=warp_total,
-        mac_evals=total,  # every visit tests the MAC once
-        loop_iterations=float(n),
-        kernel_launches=1.0,
-    )
-
-
 # ----------------------------------------------------------------------
-# Group-coherent traversal (one walk per leaf-aligned group of the
-# already-Hilbert-sorted bodies).
+# Traversal-engine view (grouped / dual traversal, LET selection).
 # ----------------------------------------------------------------------
 
-def _bvh_tree_view(bvh: BVH) -> TreeView:
-    """Flat traversal-engine view of the BVH."""
+def bvh_tree_view(bvh: BVH) -> TreeView:
+    """Flat traversal-engine view of the BVH.
+
+    The BVH's leaf order *is* the Hilbert order, so it fixes the body
+    order the force driver groups in: contiguous groups of sorted
+    bodies are leaf-aligned by construction.  Leaves hold single
+    bodies, so there are no bucket leaves.
+    """
     layout = bvh.layout
     nn = layout.n_nodes
     first_leaf = layout.first_leaf
@@ -223,196 +194,6 @@ def _bvh_tree_view(bvh: BVH) -> TreeView:
         dfs_rank=bvh_dfs_ranks(layout.n_leaves),
         quad=bvh.quad,
         visit_bytes=_visit_bytes(dim),
+        flops_per_visit=_FLOPS_PER_VISIT,
+        body_order=bvh.perm,
     )
-
-
-#: Public alias: the distributed runtime builds LETs and cross-rank
-#: interaction lists against this same view.
-bvh_tree_view = _bvh_tree_view
-
-
-def bvh_accelerations_grouped(
-    bvh: BVH,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
-    """BVH accelerations via group-coherent traversal.
-
-    The BVH's leaf order *is* the Hilbert order, so contiguous groups of
-    sorted bodies are leaf-aligned by construction.  The stackless walk
-    runs once per group with the conservative group MAC; the emitted
-    interaction lists are evaluated as dense tiles and, when *cache* (a
-    structure-cache entry dict) is given, reused across timesteps for as
-    long as the cached sort permutation is.
-
-    At ``group_size=1`` (monopole order) the result is bit-identical to
-    :func:`bvh_accelerations`.
-    """
-    n = bvh.n_bodies
-    dim = bvh.x_sorted.shape[1]
-    if n == 0:
-        return np.zeros((0, dim), dtype=FLOAT)
-
-    key = ("ilists", float(theta), int(group_size))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["groups"].n_bodies != n
-    view = _bvh_tree_view(bvh)
-    if built:
-        groups = make_groups(bvh.x_sorted, group_size)
-        lists = build_interaction_lists(view, groups, theta,
-                                        mac_margin=mac_margin)
-        cached = {"groups": groups, "lists": lists}
-        if cache is not None:
-            cache[key] = cached
-    groups = cached["groups"]
-    lists = cached["lists"]
-
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    # Per-epoch precomputes live inside the cached entry, so the
-    # maintainer's list invalidation drops them in the same stroke.
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            flat = build_flat_lists(view, lists, groups)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, lists, groups)
-            cached["selfpairs"] = self_pairs
-
-    # point_body ids are sorted rows, so the default identity body_ids
-    # already matches and the gemm kernel can zero self-interactions.
-    acc_s, stats = evaluate_interaction_lists(
-        view, lists, groups, bvh.x_sorted,
-        G=params.G, eps2=params.eps2, mode=mode,
-        flat=flat, m_sorted=bvh.m_sorted, self_pairs=self_pairs,
-    )
-
-    if ctx is not None:
-        account_grouped_force(
-            ctx.counters, lists, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=stats["pairs"], quad_terms=stats["quad_terms"],
-            visit_bytes=view.visit_bytes, built=built,
-            flops_per_visit=10.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[bvh.perm] = acc_s
-    return out
-
-
-def bvh_accelerations_dual(
-    bvh: BVH,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    cc_mac: float = 1.5,
-    expansion_order: int = 2,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
-    """BVH accelerations via the dual-tree cell-cell traversal.
-
-    The leaf-aligned Hilbert groups become a balanced target tree; the
-    simultaneous walk of :mod:`repro.traversal.dual` retires
-    well-separated cell pairs once through M2L + downsweep and defers
-    the near field to the grouped tile kernels.  ``cc_mac=0`` disables
-    the cell-cell branch and is bit-identical to the grouped mode.
-    """
-    # Imported here, not at module top: repro.traversal.dual imports
-    # this package's layout module, re-entering bvh/__init__.
-    from repro.traversal.dual import (
-        account_dual_force,
-        build_dual_lists,
-        build_target_tree,
-        evaluate_dual,
-    )
-
-    n = bvh.n_bodies
-    dim = bvh.x_sorted.shape[1]
-    if n == 0:
-        return np.zeros((0, dim), dtype=FLOAT)
-
-    key = ("dlists", float(theta), int(group_size), float(cc_mac),
-           int(expansion_order))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["groups"].n_bodies != n
-    view = _bvh_tree_view(bvh)
-    if built:
-        groups = make_groups(bvh.x_sorted, group_size)
-        tt = build_target_tree(groups)
-        dual = build_dual_lists(view, tt, theta, cc_mac=cc_mac,
-                                mac_margin=mac_margin)
-        cached = {"groups": groups, "dual": dual, "lists": dual.near}
-        if cache is not None:
-            cache[key] = cached
-    groups = cached["groups"]
-    dual = cached["dual"]
-
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            flat = build_flat_lists(view, dual.near, groups)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, dual.near, groups)
-            cached["selfpairs"] = self_pairs
-
-    acc_s, stats = evaluate_dual(
-        view, dual, groups, bvh.x_sorted,
-        G=params.G, eps2=params.eps2, mode=mode,
-        expansion_order=expansion_order, ctx=ctx,
-        flat=flat, m_sorted=bvh.m_sorted, self_pairs=self_pairs,
-    )
-
-    if ctx is not None:
-        account_dual_force(
-            ctx.counters, dual, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=stats["pairs"], quad_terms=stats["quad_terms"],
-            quad_far=stats["quad_far"], expansion_order=expansion_order,
-            visit_bytes=view.visit_bytes, built=built,
-            flops_per_visit=10.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[bvh.perm] = acc_s
-    return out

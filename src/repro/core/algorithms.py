@@ -143,269 +143,229 @@ class AllPairsCol(ForceAlgorithm):
         )
 
 
-class OctreeAlgorithm(ForceAlgorithm):
-    """Concurrent Octree Barnes-Hut (paper Section IV-A)."""
+class OctreeHooks:
+    """Octree-specific steps of the tree pipeline (paper Section IV-A).
 
-    name = "octree"
-    complexity = "O(N log N)"
-    required_progress = ForwardProgress.PARALLEL  # build + multipoles use par
-    uses_atomics = True
+    *two_stage* selects the Burtscher-Pingali build (Thüring et al.
+    [22]) with level-wise multipoles; otherwise the backend picks the
+    Concurrent Octree's virtual-thread reference kernels or their
+    vectorized equivalents.
+    """
 
-    def accelerations(self, system, config, ctx, cache=None):
-        from repro.octree.build_concurrent import build_octree_concurrent
+    #: Steps the build, moments and (distributed) refit are charged to.
+    build_step = "build_tree"
+    moments_step = "multipoles"
+    refit_step = "multipoles"
+    #: Moments run as a pass of their own after the build.
+    fused_moments = False
+
+    def __init__(self, two_stage: bool = False):
+        self.two_stage = two_stage
+
+    def build(self, x, box, config, ctx, keys=None):
+        """The pool over *x* within *box* (no moments yet)."""
+        if self.two_stage:
+            from repro.octree.build_twostage import build_octree_twostage
+
+            return build_octree_twostage(x, bits=config.bits, box=box, ctx=ctx)
+        if ctx.backend == "reference":
+            from repro.octree.build_concurrent import build_octree_concurrent
+
+            return build_octree_concurrent(x, bits=config.bits, box=box, ctx=ctx)
         from repro.octree.build_vectorized import build_octree_vectorized
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
-        )
+
+        return build_octree_vectorized(x, bits=config.bits, box=box, ctx=ctx)
+
+    def moments(self, pool, x, m, config, ctx):
+        """CALCULATEMULTIPOLES in place at positions *x*; returns the pool."""
         from repro.octree.multipoles import (
             compute_multipoles_concurrent,
             compute_multipoles_vectorized,
         )
 
-        if not ctx.device.progress.satisfies(ForwardProgress.PARALLEL):
-            if ctx.on_progress_violation == "raise":
-                raise ForwardProgressError(
-                    f"Concurrent Octree requires parallel forward progress; "
-                    f"device {ctx.device.name!r} provides only "
-                    f"{ctx.device.progress.name} (paper Section V-B: hangs)"
-                )
-        def build(box):
-            if ctx.backend == "reference":
-                return build_octree_concurrent(
-                    system.x, bits=config.bits, box=box, ctx=ctx
-                )
-            return build_octree_vectorized(
-                system.x, bits=config.bits, box=box, ctx=ctx
-            )
-
-        maint = None
-        if config.tree_update != "rebuild":
-            from repro.maintenance.maintainer import get_maintainer
-
-            maint = get_maintainer(cache, config, ctx)
-            pool = maint.maintain_octree(system, self, build)
-            entry = maint.entry
+        if self.two_stage:
+            compute_multipoles_vectorized(pool, x, m, ctx,
+                                          order=config.multipole_order,
+                                          account="levelwise")
+        elif ctx.backend == "reference":
+            compute_multipoles_concurrent(pool, x, m, ctx,
+                                          order=config.multipole_order)
         else:
-            entry = _cache_entry(cache, "octree", config, system, ctx)
-            pool = None if entry is None else entry["structure"]
-            if pool is None:
-                box = self._bounding_box(system, ctx)
-                with ctx.step("build_tree"):
-                    pool = build(box)
-                entry = _store_structure(cache, "octree", pool, config, system)
-        if not _moments_ready(entry):
-            with ctx.step("multipoles"):
-                if ctx.backend == "reference":
-                    compute_multipoles_concurrent(pool, system.x, system.m, ctx,
-                                                  order=config.multipole_order)
-                else:
-                    compute_multipoles_vectorized(pool, system.x, system.m, ctx,
-                                                  order=config.multipole_order)
-            _mark_moments_ready(entry)
-        with ctx.step("force"):
-            if config.traversal == "dual":
-                acc = octree_accelerations_dual(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    cc_mac=config.cc_mac,
-                    expansion_order=config.expansion_order,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            elif config.traversal == "grouped":
-                acc = octree_accelerations_grouped(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            else:
-                acc = octree_accelerations(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, ctx=ctx, simt_width=config.simt_width,
-                )
-        if maint is not None:
-            maint.finish_step(system.x)
-        return acc
+            compute_multipoles_vectorized(pool, x, m, ctx,
+                                          order=config.multipole_order)
+        return pool
+
+    #: Refit keeps the cells and leaf membership and refreshes moments.
+    refit = moments
+
+    def refit_growth(self, theta):
+        """MAC-extent growth per unit body drift under refit, over theta:
+        none, octree cells never change."""
+        return 0.0
+
+    def view(self, pool):
+        from repro.octree.force import octree_tree_view
+
+        return octree_tree_view(pool)
+
+    def lockstep(self, pool, x, m, config, ctx):
+        from repro.octree.force import octree_accelerations
+
+        return octree_accelerations(pool, x, m, config.gravity,
+                                    theta=config.theta, ctx=ctx,
+                                    simt_width=config.simt_width)
+
+    def maintain(self, maint, system, algo, config, ctx):
+        """The maintainer's step, then moments at current positions."""
+        pool = maint.maintain_octree(
+            system, algo, lambda box: self.build(system.x, box, config, ctx))
+        with ctx.step(self.moments_step):
+            return self.moments(pool, system.x, system.m, config, ctx)
 
 
-class BVHAlgorithm(ForceAlgorithm):
-    """Hilbert-sorted balanced BVH (paper Section IV-B)."""
+class BVHHooks:
+    """BVH-specific steps of the tree pipeline (paper Section IV-B).
 
-    name = "bvh"
+    The structure is the Hilbert sort permutation (HILBERTSORT); the
+    moments are accumulated by the fused bottom-up build
+    (BUILDTREEACCUMULATEMASS), which is therefore charged to
+    ``build_tree``.
+    """
+
+    build_step = "sort"
+    moments_step = "build_tree"
+    refit_step = "refit"
+    #: Moments are accumulated inside the build: the distributed
+    #: runtime runs them per rank within its build loop.
+    fused_moments = True
+
+    def build(self, x, box, config, ctx, keys=None):
+        """``(perm, box)``; *keys* are precomputed curve keys of *x*."""
+        from repro.bvh.build import hilbert_sort_permutation
+
+        perm = hilbert_sort_permutation(x, box, bits=config.bits, ctx=ctx,
+                                        curve=config.curve, keys=keys)
+        return perm, box
+
+    def moments(self, structure, x, m, config, ctx):
+        from repro.bvh.build import assemble_bvh
+
+        perm, box = structure
+        return assemble_bvh(x, m, perm, box, ctx=ctx,
+                            order=config.multipole_order)
+
+    def refit(self, bvh, x, m, config, ctx):
+        """Fused level-sweep geometry + multipole refresh (same order)."""
+        from repro.bvh.build import refit_bvh
+
+        return refit_bvh(bvh, x, ctx=ctx)
+
+    def refit_growth(self, theta):
+        """MAC-extent growth per unit body drift under refit, over theta:
+        refit refreshes the boxes, so a node's longest side can grow by
+        twice its drift."""
+        return 2.0 / theta if theta > 0.0 else np.inf
+
+    def view(self, bvh):
+        from repro.bvh.force import bvh_tree_view
+
+        return bvh_tree_view(bvh)
+
+    def lockstep(self, bvh, x, m, config, ctx):
+        from repro.bvh.force import bvh_accelerations
+
+        return bvh_accelerations(bvh, config.gravity, theta=config.theta,
+                                 ctx=ctx, simt_width=config.simt_width)
+
+    def maintain(self, maint, system, algo, config, ctx):
+        return maint.maintain_bvh(system, algo)
+
+
+class TreeAlgorithm(ForceAlgorithm):
+    """A Barnes-Hut tree algorithm: the paper's tree pipeline, once.
+
+    Every tree runs the same step structure — bounding box, build (or
+    the maintainer's refit), moments, CALCULATEFORCE — and differs only
+    in its *hooks* (:class:`OctreeHooks`, :class:`BVHHooks`): the build
+    from a bounding box, the moments that make it force-ready, the
+    maintainer entry, the lockstep kernel and the traversal-engine view
+    the grouped/dual driver runs on.  The distributed runtime and the
+    checkpoint replay call the same hooks.
+    """
+
     complexity = "O(N log N)"
-    required_progress = ForwardProgress.WEAKLY_PARALLEL  # par_unseq only
-    uses_atomics = False
+
+    def __init__(self, name, hooks, *, required_progress, uses_atomics):
+        self.name = name
+        self.hooks = hooks
+        self.required_progress = required_progress
+        self.uses_atomics = uses_atomics
 
     def accelerations(self, system, config, ctx, cache=None):
-        from repro.bvh.build import assemble_bvh, hilbert_sort_permutation
-        from repro.bvh.force import (
-            bvh_accelerations,
-            bvh_accelerations_dual,
-            bvh_accelerations_grouped,
-        )
-
+        if (not ctx.device.progress.satisfies(self.required_progress)
+                and ctx.on_progress_violation == "raise"):
+            raise ForwardProgressError(
+                f"{self.name!r} requires {self.required_progress.name.lower()} "
+                f"forward progress; device {ctx.device.name!r} provides only "
+                f"{ctx.device.progress.name} (paper Section V-B: hangs)"
+            )
+        hooks = self.hooks
         maint = None
         if config.tree_update != "rebuild":
             from repro.maintenance.maintainer import get_maintainer
 
             maint = get_maintainer(cache, config, ctx)
-            bvh = maint.maintain_bvh(system, self)
+            tree = hooks.maintain(maint, system, self, config, ctx)
             entry = maint.entry
         else:
-            entry = _cache_entry(cache, "bvh", config, system, ctx)
-            if entry is not None:
-                perm, box = entry["structure"]
-            else:
+            entry = _cache_entry(cache, self.name, config, system, ctx)
+            if entry is None:
                 box = self._bounding_box(system, ctx)
-                # HILBERTSORT and the fused build are separate steps so
-                # Fig. 8's component breakdown can be reproduced.
-                with ctx.step("sort"):
-                    perm = hilbert_sort_permutation(
-                        system.x, box, bits=config.bits, ctx=ctx, curve=config.curve
-                    )
-                entry = _store_structure(cache, "bvh", (perm, box), config, system)
+                with ctx.step(hooks.build_step):
+                    structure = hooks.build(system.x, box, config, ctx)
+                entry = _store_structure(cache, self.name, structure, config,
+                                         system)
+            else:
+                structure = entry["structure"]
             # Content-addressed shared entries were built at bit-identical
-            # (x, m): the assembled tree itself is reusable, not just the
-            # sort permutation.
-            bvh = (entry.get("bvh")
-                   if entry is not None and entry.get("exact") else None)
-            if bvh is None:
-                with ctx.step("build_tree"):
-                    bvh = assemble_bvh(system.x, system.m, perm, box, ctx=ctx,
-                                       order=config.multipole_order)
-                if entry is not None and entry.get("exact"):
-                    entry["bvh"] = bvh
+            # (x, m): their force-ready tree is reusable outright.  Plain
+            # reuse entries age across drifting positions and must
+            # refresh moments every step.
+            exact = entry is not None and bool(entry.get("exact"))
+            tree = entry.get("tree") if exact else None
+            if tree is None:
+                with ctx.step(hooks.moments_step):
+                    tree = hooks.moments(structure, system.x, system.m,
+                                         config, ctx)
+                if exact:
+                    entry["tree"] = tree
         with ctx.step("force"):
-            if config.traversal == "dual":
-                acc = bvh_accelerations_dual(
-                    bvh, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    cc_mac=config.cc_mac,
-                    expansion_order=config.expansion_order,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            elif config.traversal == "grouped":
-                acc = bvh_accelerations_grouped(
-                    bvh, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            else:
-                acc = bvh_accelerations(
-                    bvh, config.gravity,
-                    theta=config.theta, ctx=ctx, simt_width=config.simt_width,
-                )
+            acc = self.force(tree, system.x, system.m, config, ctx,
+                             cache=entry,
+                             mac_margin=(maint.mac_margin if maint is not None
+                                         else 0.0))
         if maint is not None:
             maint.finish_step(system.x)
         return acc
 
+    def force(self, tree, x, m, config, ctx, *, view=None, cache=None,
+              mac_margin=0.0):
+        """CALCULATEFORCE on a force-ready *tree*: the lockstep kernel,
+        or the grouped/dual driver over its view (*view*, when the
+        caller already has it)."""
+        if config.traversal == "lockstep":
+            return self.hooks.lockstep(tree, x, m, config, ctx)
+        from repro.traversal.driver import tree_accelerations
 
-class TwoStageOctreeAlgorithm(ForceAlgorithm):
-    """Two-stage octree (Burtscher-Pingali [29] via Thüring et al. [22]).
-
-    The comparator the paper validates against: a single work-group
-    serializes the contended top of the tree, then independent subtrees
-    build in parallel.  No global locks, so — unlike the Concurrent
-    Octree — it runs under weakly parallel forward progress on *any*
-    GPU, paying for that portability with the serial first stage.
-    """
-
-    name = "octree-2stage"
-    complexity = "O(N log N)"
-    required_progress = ForwardProgress.WEAKLY_PARALLEL
-    uses_atomics = False  # work-group-local synchronization only
-
-    def accelerations(self, system, config, ctx, cache=None):
-        from repro.octree.build_twostage import build_octree_twostage
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
+        return tree_accelerations(
+            view if view is not None else self.hooks.view(tree),
+            x, m, config.gravity,
+            traversal=config.traversal, theta=config.theta,
+            group_size=config.group_size, cc_mac=config.cc_mac,
+            expansion_order=config.expansion_order,
+            ctx=ctx, simt_width=config.simt_width, cache=cache,
+            eval_mode=config.eval_mode, mac_margin=mac_margin,
         )
-        from repro.octree.multipoles import compute_multipoles_vectorized
-
-        def build(box):
-            return build_octree_twostage(
-                system.x, bits=config.bits, box=box, ctx=ctx
-            )
-
-        maint = None
-        if config.tree_update != "rebuild":
-            from repro.maintenance.maintainer import get_maintainer
-
-            maint = get_maintainer(cache, config, ctx)
-            pool = maint.maintain_octree(system, self, build)
-            entry = maint.entry
-        else:
-            entry = _cache_entry(cache, "octree-2stage", config, system, ctx)
-            pool = None if entry is None else entry["structure"]
-            if pool is None:
-                box = self._bounding_box(system, ctx)
-                with ctx.step("build_tree"):
-                    pool = build(box)
-                entry = _store_structure(
-                    cache, "octree-2stage", pool, config, system)
-        if not _moments_ready(entry):
-            with ctx.step("multipoles"):
-                compute_multipoles_vectorized(
-                    pool, system.x, system.m, ctx,
-                    order=config.multipole_order, account="levelwise",
-                )
-            _mark_moments_ready(entry)
-        with ctx.step("force"):
-            if config.traversal == "dual":
-                acc = octree_accelerations_dual(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    cc_mac=config.cc_mac,
-                    expansion_order=config.expansion_order,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            elif config.traversal == "grouped":
-                acc = octree_accelerations_grouped(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            else:
-                acc = octree_accelerations(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, ctx=ctx, simt_width=config.simt_width,
-                )
-        if maint is not None:
-            maint.finish_step(system.x)
-        return acc
-
-
-def _moments_ready(entry: dict | None) -> bool:
-    """May the multipole pass be skipped for this cache entry?
-
-    Only content-addressed shared entries (``exact``: keyed by the
-    digest of the very positions and masses being evaluated) qualify —
-    their pool already carries the moments of bit-identical inputs.
-    Plain reuse entries age across drifting positions and must refresh
-    moments every step.
-    """
-    return (entry is not None and bool(entry.get("exact"))
-            and bool(entry.get("moments_ready")))
-
-
-def _mark_moments_ready(entry: dict | None) -> None:
-    if entry is not None and entry.get("exact"):
-        entry["moments_ready"] = True
 
 
 def _cache_entry(
@@ -472,9 +432,30 @@ ALGORITHMS: dict[str, ForceAlgorithm] = {
     for a in (
         AllPairs(),
         AllPairsCol(),
-        OctreeAlgorithm(),
-        BVHAlgorithm(),
-        TwoStageOctreeAlgorithm(),
+        TreeAlgorithm(
+            # Concurrent Octree (paper Section IV-A)
+            "octree", OctreeHooks(),
+            # build + multipoles use par
+            required_progress=ForwardProgress.PARALLEL, uses_atomics=True,
+        ),
+        TreeAlgorithm(
+            # Hilbert-sorted balanced BVH (paper Section IV-B)
+            "bvh", BVHHooks(),
+            # par_unseq only
+            required_progress=ForwardProgress.WEAKLY_PARALLEL,
+            uses_atomics=False,
+        ),
+        # The comparator the paper validates against: a single work-group
+        # serializes the contended top of the tree, then independent
+        # subtrees build in parallel.  No global locks, so it runs under
+        # weakly parallel forward progress on any GPU, paying for that
+        # portability with the serial first stage.
+        TreeAlgorithm(
+            "octree-2stage", OctreeHooks(two_stage=True),
+            required_progress=ForwardProgress.WEAKLY_PARALLEL,
+            # work-group-local synchronization only
+            uses_atomics=False,
+        ),
     )
 }
 

@@ -27,35 +27,34 @@ positions:
 * **tree maintenance** (``refit``) — the epoch positions ``x_ref``,
   the previous-step positions (drift sensing), the drift-budget
   scalars and event counts, and per cached list its build snapshot and
-  MAC margin.  Restore rebuilds the epoch structure at ``x_ref``,
-  refits it to each list's snapshot, and re-runs the list build with
+  MAC margin.  Restore replays the epoch rebuild at ``x_ref`` through
+  the algorithm's maintainer hook, refits the structure to each list's
+  snapshot through its refit hook, and re-runs the force driver with
   the captured margin — byte-identical lists, so the validity gate
   resumes exactly where it left off.  (``tree_update="auto"`` restores
   the same state but its cost-learning policy restarts, so the
   rebuild-vs-refit choices — not correctness — may differ.)
-* **distributed** (``ranks > 1``, rebuild mode) — the domain
-  decomposition (order/offsets/key splits), the rebalance cadence
-  phase, and the work-feedback weights.  The runtime's first
-  evaluation after restore replays the captured decomposition verbatim
-  without advancing the cadence, so split points and re-bin timing
-  match the original run.  Maintained distributed mode resumes
-  deterministically but re-derives its epoch (documented divergence
-  within the accuracy class).
+* **distributed** (``ranks > 1``) — the domain decomposition
+  (order/offsets/key splits), the rebalance cadence phase, and the
+  work-feedback weights.  The runtime's first evaluation after restore
+  replays the captured decomposition verbatim without advancing the
+  cadence, so split points and re-bin timing match the original run.
+  Maintained mode adds the epoch: its positions, decomposition, LET
+  margin and maintenance counts.  Restore replays the epoch's per-rank
+  builds and LET plans at its positions through the runtime's own
+  rebuild, so later steps refit exactly the original trees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.aabb import compute_bounding_box
 from repro.physics.bodies import BodySystem
 from repro.stdpar.context import ExecutionContext
 from repro.types import FLOAT, INDEX
 
 #: Version tag of the runtime-state payload inside checkpoint headers.
 RUNTIME_STATE_VERSION = 1
-
-_REUSE_KEYS = ("octree", "bvh", "octree-2stage")
 
 
 # ----------------------------------------------------------------------
@@ -68,15 +67,14 @@ def capture_runtime_state(sim) -> dict | None:
     config = sim.config
 
     if config.tree_reuse_steps > 1:
-        for key in _REUSE_KEYS:
-            entry = cache.get(key)
-            if entry is not None and "x_epoch" in entry:
-                state["reuse"] = {
-                    "key": key,
-                    "age": int(entry["age"]),
-                    "x_epoch": np.asarray(entry["x_epoch"], dtype=FLOAT),
-                }
-                break
+        # Tree algorithms cache their structure under their own name.
+        entry = cache.get(config.algorithm)
+        if entry is not None and "x_epoch" in entry:
+            state["reuse"] = {
+                "key": config.algorithm,
+                "age": int(entry["age"]),
+                "x_epoch": np.asarray(entry["x_epoch"], dtype=FLOAT),
+            }
 
     maint = cache.get("_maintainer")
     if maint is not None and maint._x_ref is not None:
@@ -94,7 +92,6 @@ def capture_runtime_state(sim) -> dict | None:
                 "x": np.asarray(snap_x, dtype=FLOAT),
             })
         state["maint"] = {
-            "kind": "bvh" if maint._bvh is not None else "octree",
             "x_ref": np.asarray(maint._x_ref, dtype=FLOAT),
             "x_prev": (None if maint._x_prev is None
                        else np.asarray(maint._x_prev, dtype=FLOAT)),
@@ -105,22 +102,35 @@ def capture_runtime_state(sim) -> dict | None:
         }
 
     dist = sim.distributed
-    if (dist is not None and config.tree_update == "rebuild"
-            and dist._decomp is not None):
-        d = dist._decomp
+    if dist is not None and dist._decomp is not None:
         state["dist"] = {
             "calls": int(dist.balancer._calls),
-            "mode": d.mode,
-            "order": np.asarray(d.order),
-            "offsets": np.asarray(d.offsets),
-            "key_splits": np.asarray(d.key_splits),
+            **_pack_decomp(dist._decomp),
             "weights": (None if dist.balancer.weights is None
                         else np.asarray(dist.balancer.weights, dtype=FLOAT)),
             "prev_rank_of": (None if dist._prev_rank_of is None
                              else np.asarray(dist._prev_rank_of)),
         }
+        ep = dist._epoch
+        if ep is not None:
+            state["dist"]["epoch"] = {
+                "x_ref": np.asarray(ep["x_ref"], dtype=FLOAT),
+                **_pack_decomp(ep["decomp"]),
+                "budget_abs": float(ep["budget_abs"]),
+                "maint_counts": {k: int(v)
+                                 for k, v in dist.maint_counts.items()},
+            }
 
     return state if len(state) > 1 else None
+
+
+def _pack_decomp(d) -> dict:
+    return {
+        "mode": d.mode,
+        "order": np.asarray(d.order),
+        "offsets": np.asarray(d.offsets),
+        "key_splits": np.asarray(d.key_splits),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +142,10 @@ def apply_runtime_state(sim, state: dict) -> None:
     Runs inside ``Simulation.__init__`` after the distributed runtime
     exists and **before** the integrator's construction-time force
     evaluation, which therefore sees exactly the caches the suspended
-    simulation had.  Rebuild work is charged to a scratch context — the
-    resumed run's own accounting starts clean.
+    simulation had.  Rebuild work is charged to a scratch context (and
+    the distributed epoch replay's per-rank work to the rank contexts,
+    which every evaluation resets) — the resumed run's own accounting
+    starts clean.
     """
     version = state.get("version")
     if version != RUNTIME_STATE_VERSION:
@@ -149,22 +161,19 @@ def apply_runtime_state(sim, state: dict) -> None:
     if "maint" in state:
         _restore_maintainer(sim, state["maint"], scratch)
     if "dist" in state and sim.distributed is not None:
-        _restore_distributed(sim.distributed, state["dist"])
+        _restore_distributed(sim.distributed, state["dist"],
+                             np.array(sim.system.m, copy=True), scratch)
 
 
 def _restore_reuse_entry(sim, reuse: dict, scratch) -> None:
     """Replay the epoch force evaluation at ``x_epoch`` (bit-exact)."""
-    from repro.core.algorithms import get_algorithm
-
     x_epoch = np.asarray(reuse["x_epoch"], dtype=FLOAT)
     epoch_system = BodySystem(
         x_epoch.copy(), np.zeros_like(x_epoch),
         np.array(sim.system.m, copy=True),
     )
     tmp: dict = {}
-    get_algorithm(sim.config.algorithm).accelerations(
-        epoch_system, sim.config, scratch, cache=tmp
-    )
+    sim.algorithm.accelerations(epoch_system, sim.config, scratch, cache=tmp)
     entry = tmp.get(reuse["key"])
     if entry is None:  # pragma: no cover - defensive
         return
@@ -177,39 +186,28 @@ def _restore_reuse_entry(sim, reuse: dict, scratch) -> None:
 
 
 def _restore_maintainer(sim, ms: dict, scratch) -> None:
+    """Replay the epoch rebuild at ``x_ref``, then the cached lists.
+
+    A fresh maintainer's first step is always a rebuild, so entering it
+    through the algorithm's own maintainer hook at ``x_ref`` reproduces
+    the epoch structure (and, for the octree, its Hilbert reference
+    order) bit for bit; the captured scalars then overwrite its fresh
+    budget, drift and counts.
+    """
     from repro.maintenance.maintainer import TreeMaintainer
 
     config = sim.config
-    maint = TreeMaintainer(config, sim.ctx)
+    algo = sim.algorithm
     x_ref = np.asarray(ms["x_ref"], dtype=FLOAT)
-    dim = x_ref.shape[1]
     m = np.array(sim.system.m, copy=True)
+    # The replay charges the scratch context; from here on the
+    # maintainer accounts to the resumed simulation's own.
+    maint = TreeMaintainer(config, scratch)
+    algo.hooks.maintain(
+        maint, BodySystem(x_ref.copy(), np.zeros_like(x_ref), m),
+        algo, config, scratch)
+    maint.ctx = sim.ctx
 
-    if ms["kind"] == "bvh":
-        from repro.bvh.build import (
-            assemble_bvh,
-            default_sort_bits,
-            hilbert_sort_permutation,
-        )
-
-        bits = config.bits if config.bits is not None else default_sort_bits(dim)
-        box = compute_bounding_box(x_ref)
-        perm = hilbert_sort_permutation(
-            x_ref, box, bits=bits, ctx=scratch, curve=config.curve
-        )
-        maint._bvh = assemble_bvh(x_ref, m, perm, box, ctx=scratch,
-                                  order=config.multipole_order)
-    else:
-        from repro.bvh.build import default_sort_bits
-
-        pool = _build_epoch_pool(sim, x_ref, scratch)
-        maint._pool = pool
-        keys = maint.keycache.keys(x_ref, pool.box,
-                                   bits=default_sort_bits(dim),
-                                   curve="hilbert", ctx=scratch)
-        maint._order = np.argsort(keys, kind="stable")
-
-    maint._x_ref = x_ref.copy()
     maint._x_prev = (None if ms["x_prev"] is None
                      else np.asarray(ms["x_prev"], dtype=FLOAT).copy())
     maint._step_drift = float(ms["step_drift"])
@@ -221,104 +219,49 @@ def _restore_maintainer(sim, ms: dict, scratch) -> None:
     sim._tree_cache["_maintainer"] = maint
 
 
-def _build_epoch_pool(sim, x_ref: np.ndarray, scratch):
-    """The octree epoch structure, via the algorithm's own builder."""
-    config = sim.config
-    box = compute_bounding_box(x_ref)
-    if config.algorithm == "octree-2stage":
-        from repro.octree.build_twostage import build_octree_twostage
-
-        return build_octree_twostage(x_ref, bits=config.bits, box=box,
-                                     ctx=scratch)
-    if scratch.backend == "reference":
-        from repro.octree.build_concurrent import build_octree_concurrent
-
-        return build_octree_concurrent(x_ref, bits=config.bits, box=box,
-                                       ctx=scratch)
-    from repro.octree.build_vectorized import build_octree_vectorized
-
-    return build_octree_vectorized(x_ref, bits=config.bits, box=box,
-                                   ctx=scratch)
-
-
-def _decode_list_key(raw: list) -> tuple:
-    if raw[0] == "dlists":
-        return ("dlists", float(raw[1]), int(raw[2]), float(raw[3]),
-                int(raw[4]))
-    return ("ilists", float(raw[1]), int(raw[2]))
-
-
 def _warm_cached_lists(sim, maint, item: dict, m: np.ndarray, scratch) -> None:
     """Re-run the list build at the captured snapshot and margin.
 
-    The grouped/dual force entry points are invoked verbatim on the
-    epoch structure refit to the snapshot positions, so the lists (and
-    their flat/self-pair precomputes) come out of the same code path —
-    and therefore the same bytes — as the originals.  The evaluation
+    The epoch tree is refit to the snapshot positions through the
+    algorithm's own refit hook (octree: moments at those positions,
+    which the grouped MAC reads; BVH: the fused geometry refresh) and
+    the force driver runs on it verbatim, so the lists (and their
+    flat/self-pair precomputes) come out of the same code path — and
+    therefore the same bytes — as the originals.  The evaluation
     result is discarded; the work is charged to the scratch context.
     """
-    key = _decode_list_key(item["key"])
+    key = tuple(item["key"])
     snap_x = np.asarray(item["x"], dtype=FLOAT)
-    margin = float(item["margin"])
     config = sim.config
-    common = dict(ctx=scratch, simt_width=config.simt_width,
-                  cache=maint.entry, eval_mode=config.eval_mode,
-                  mac_margin=margin)
-
-    if maint._bvh is not None:
-        from repro.bvh.build import refit_bvh
-        from repro.bvh.force import (
-            bvh_accelerations_dual,
-            bvh_accelerations_grouped,
-        )
-
-        geom = refit_bvh(maint._bvh, snap_x, ctx=scratch)
-        if key[0] == "dlists":
-            bvh_accelerations_dual(
-                geom, config.gravity, theta=key[1], group_size=key[2],
-                cc_mac=key[3], expansion_order=key[4], **common)
-        else:
-            bvh_accelerations_grouped(
-                geom, config.gravity, theta=key[1], group_size=key[2],
-                **common)
-    else:
-        from repro.octree.force import (
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
-        )
-        from repro.octree.multipoles import compute_multipoles_vectorized
-
-        # The octree's structure is static across an epoch but the
-        # grouped MAC reads centres of mass, which the pipeline
-        # refreshes at current positions every step — replay that.
-        compute_multipoles_vectorized(maint._pool, snap_x, m, scratch,
-                                      order=config.multipole_order)
-        if key[0] == "dlists":
-            octree_accelerations_dual(
-                maint._pool, snap_x, m, config.gravity,
-                theta=key[1], group_size=key[2],
-                cc_mac=key[3], expansion_order=key[4], **common)
-        else:
-            octree_accelerations_grouped(
-                maint._pool, snap_x, m, config.gravity,
-                theta=key[1], group_size=key[2], **common)
-
+    algo = sim.algorithm
+    tree = algo.hooks.refit(maint.tree, snap_x, m, config, scratch)
+    algo.force(tree, snap_x, m, config, scratch, cache=maint.entry,
+               mac_margin=float(item["margin"]))
     cached = maint.entry.get(key)
     if cached is not None:
         maint._list_state[key] = (cached["lists"], snap_x.copy())
 
 
-def _restore_distributed(runtime, ds: dict) -> None:
-    from repro.distributed.partition import DomainDecomposition
-
-    decomp = DomainDecomposition(
-        runtime.n_ranks,
-        np.asarray(ds["order"]).astype(INDEX),
-        np.asarray(ds["offsets"]).astype(INDEX),
-        np.asarray(ds["key_splits"], dtype=np.uint64),
-        str(ds["mode"]),
-    )
-    runtime._decomp = decomp
+def _restore_distributed(runtime, ds: dict, m: np.ndarray, scratch) -> None:
+    if "epoch" in ds:
+        # Maintained mode: replay the epoch's per-rank builds and LET
+        # plans at its positions through the runtime's own rebuild, so
+        # the resumed run refits exactly the trees the suspended one
+        # would have.  (Refit is history-free: refitting the epoch
+        # trees to any positions equals rebuilding them there.)
+        ep = ds["epoch"]
+        x_ref = np.asarray(ep["x_ref"], dtype=FLOAT)
+        _, keys = runtime._keys(x_ref)
+        ctx, runtime.ctx = runtime.ctx, scratch
+        try:
+            runtime._rebuild(x_ref, m, _unpack_decomp(runtime.n_ranks, ep),
+                             keys)
+        finally:
+            runtime.ctx = ctx
+        runtime._epoch["budget_abs"] = float(ep["budget_abs"])
+        runtime.maint_counts = {k: int(v)
+                                for k, v in ep["maint_counts"].items()}
+    runtime._decomp = _unpack_decomp(runtime.n_ranks, ds)
     runtime._prev_rank_of = (
         None if ds["prev_rank_of"] is None
         else np.asarray(ds["prev_rank_of"]).astype(INDEX)
@@ -332,3 +275,15 @@ def _restore_distributed(runtime, ds: dict) -> None:
     # which replays the suspended step's evaluation) must use this
     # decomposition verbatim without advancing the rebalance cadence.
     runtime._resume_replay = True
+
+
+def _unpack_decomp(n_ranks: int, ds: dict):
+    from repro.distributed.partition import DomainDecomposition
+
+    return DomainDecomposition(
+        n_ranks,
+        np.asarray(ds["order"]).astype(INDEX),
+        np.asarray(ds["offsets"]).astype(INDEX),
+        np.asarray(ds["key_splits"], dtype=np.uint64),
+        str(ds["mode"]),
+    )

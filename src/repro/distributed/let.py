@@ -27,7 +27,6 @@ imported LET, since the walk provably never leaves it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -158,7 +157,6 @@ def remote_accelerations(
     G: float = 1.0,
     eps2: float = 0.0,
     eval_mode: str = "auto",
-    exact_bodies: Callable[[int], list[int]] | None = None,
     x_src: np.ndarray | None = None,
     m_src: np.ndarray | None = None,
     traversal: str = "grouped",
@@ -171,7 +169,7 @@ def remote_accelerations(
     groups and sorted positions (``group_size = 1`` reproduces the
     per-body MAC of the lockstep kernels).  Bucket leaves of the source
     tree (octree duplicate-cell chains) are expanded exactly through
-    *exact_bodies* against the source arrays.
+    ``view.exact_bodies`` against the source arrays *x_src* / *m_src*.
 
     ``traversal="dual"`` runs the cell-cell walk against the source
     tree instead.  This stays inside the one-sided LET halo: the dual
@@ -212,11 +210,12 @@ def remote_accelerations(
         )
     pairs = stats["pairs"]
     if lists.exact_groups.size:
-        if exact_bodies is None or x_src is None or m_src is None:
-            raise ValueError("source tree has bucket leaves; need exact_bodies")
+        if view.exact_bodies is None or x_src is None or m_src is None:
+            raise ValueError(
+                "source tree has bucket leaves; need exact_bodies, x_src, m_src")
         go = groups.offsets
         for g, node in zip(lists.exact_groups, lists.exact_nodes):
-            bodies = exact_bodies(int(node))
+            bodies = view.exact_bodies(int(node))
             if not bodies:
                 continue
             xb = x_src[bodies]

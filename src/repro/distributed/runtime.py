@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.algorithms import get_algorithm
 from repro.distributed.balance import WorkBalancer
 from repro.distributed.fabric import Fabric, FabricTraffic
 from repro.distributed.let import (
@@ -107,6 +108,9 @@ class DistributedRuntime:
             )
         self.config = config
         self.ctx = ctx
+        #: The tree algorithm whose hooks build, refit and evaluate the
+        #: per-rank trees.
+        self.algo = get_algorithm(config.algorithm)
         self.n_ranks = int(config.ranks)
         if config.ranks_per_node and config.ranks_per_node < self.n_ranks:
             self.fabric = Fabric.hierarchical(
@@ -141,7 +145,6 @@ class DistributedRuntime:
         self._keycache = KeyCache()
         self._epoch: dict | None = None
         self.maint_counts = {"rebuild": 0, "refit": 0}
-        self._last_trees: list | None = None
         self._last_plans: list | None = None
         #: Set by checkpoint resume (repro.core.suspend): the next
         #: evaluation replays the restored decomposition verbatim and
@@ -183,53 +186,16 @@ class DistributedRuntime:
             # scramble the row-to-body mapping of the cached trees.
             decomp = self._epoch["decomp"]
             members = self._epoch["members"]
-            xr = [x[members[r]] for r in range(K)]
-            mr = [m[members[r]] for r in range(K)]
-            views, local_force, exact = self._refit_trees(xr, mr)
+            xr = [x[i] for i in members]
+            mr = [m[i] for i in members]
+            trees = self._refit_trees(xr, mr)
+            views = self._views(trees)
             with self.ctx.step("exchange"):
                 let_bytes = self._exchange_refresh(dim)
             self.maint_counts["refit"] += 1
         else:
-            members = [decomp.members(r) for r in range(K)]
-            xr = [x[members[r]] for r in range(K)]
-            mr = [m[members[r]] for r in range(K)]
-
-            # Per-rank local trees (the existing kernels, per-rank
-            # contexts).  Maintained mode hands the partition's global
-            # keys to the BVH sorts (encode dedupe) and builds LET
-            # plans with the drift margin so they survive refit steps.
-            margin = 0.0
-            if maintained:
-                box = compute_bounding_box(x)
-                margin = cfg.drift_budget * max(
-                    cubify(box).longest_side, np.finfo(FLOAT).tiny
-                )
-            if cfg.algorithm == "octree":
-                views, local_force, exact = self._build_octrees(xr, mr)
-                trees = self._last_trees
-            else:
-                keys_r = ([keys[members[r]] for r in range(K)]
-                          if maintained else None)
-                views, local_force, exact = self._build_bvhs(xr, mr, keys_r)
-                trees = self._last_trees
-
-            with self.ctx.step("exchange"):
-                let_bytes = self._exchange(decomp, x, views, dim,
-                                           mac_margin=margin)
-            if maintained:
-                gate = (2.0 + 2.0 / cfg.theta if cfg.algorithm == "bvh"
-                        and cfg.theta > 0.0 else
-                        np.inf if cfg.algorithm == "bvh" else 2.0)
-                self._epoch = {
-                    "x_ref": x.copy(),
-                    "decomp": decomp,
-                    "members": members,
-                    "trees": trees,
-                    "plans": self._last_plans,
-                    "budget_abs": margin,
-                    "gate_factor": gate,
-                }
-                self.maint_counts["rebuild"] += 1
+            members, xr, mr, trees, views, let_bytes = self._rebuild(
+                x, m, decomp, keys)
         counts = decomp.counts
 
         acc = np.zeros((n, dim), dtype=FLOAT)
@@ -240,7 +206,8 @@ class DistributedRuntime:
                     continue
                 rc = self.rank_ctx[d]
                 with rc.step("force"):
-                    acc_d = local_force(d)
+                    acc_d = self.algo.force(trees[d], xr[d], mr[d], cfg, rc,
+                                            view=views[d])
                     groups_d = make_groups(xr[d], gs)
                     # All remote halos are walked and evaluated back to
                     # back in one batched launch pair; the fixed launch
@@ -253,42 +220,32 @@ class DistributedRuntime:
                             views[s], groups_d, xr[d], cfg.theta,
                             G=cfg.gravity.G, eps2=cfg.gravity.eps2,
                             eval_mode=cfg.eval_mode,
-                            exact_bodies=exact(s), x_src=xr[s], m_src=mr[s],
+                            x_src=xr[s], m_src=mr[s],
                             traversal=cfg.traversal
                             if cfg.traversal == "dual" else "grouped",
                             cc_mac=cfg.cc_mac,
                             expansion_order=cfg.expansion_order,
                         )
                         acc_d += acc_c
-                        fpv = 8.0 if cfg.algorithm == "octree" else 10.0
+                        common = dict(
+                            n_bodies=int(counts[d]), dim=dim,
+                            simt_width=cfg.simt_width,
+                            pairs=st.pairs, quad_terms=st.quad_terms,
+                            visit_bytes=views[s].visit_bytes, built=True,
+                            flops_per_visit=views[s].flops_per_visit,
+                            launches=remote_launches,
+                            flat_launches=st.flat_launches,
+                            near_pairs_naive=st.near_pairs_naive,
+                            near_pairs_evaluated=st.near_pairs_evaluated,
+                        )
                         if st.dual is not None:
                             account_dual_force(
                                 rc.counters, st.dual, groups_d,
-                                n_bodies=int(counts[d]), dim=dim,
-                                simt_width=cfg.simt_width,
-                                pairs=st.pairs, quad_terms=st.quad_terms,
                                 quad_far=st.quad_far,
-                                expansion_order=cfg.expansion_order,
-                                visit_bytes=views[s].visit_bytes,
-                                built=True, flops_per_visit=fpv,
-                                launches=remote_launches,
-                                flat_launches=st.flat_launches,
-                                near_pairs_naive=st.near_pairs_naive,
-                                near_pairs_evaluated=st.near_pairs_evaluated,
-                            )
+                                expansion_order=cfg.expansion_order, **common)
                         else:
                             account_grouped_force(
-                                rc.counters, st.lists, groups_d,
-                                n_bodies=int(counts[d]), dim=dim,
-                                simt_width=cfg.simt_width,
-                                pairs=st.pairs, quad_terms=st.quad_terms,
-                                visit_bytes=views[s].visit_bytes, built=True,
-                                flops_per_visit=fpv,
-                                launches=remote_launches,
-                                flat_launches=st.flat_launches,
-                                near_pairs_naive=st.near_pairs_naive,
-                                near_pairs_evaluated=st.near_pairs_evaluated,
-                            )
+                                rc.counters, st.lists, groups_d, **common)
                         remote_launches = 0.0
                     acc[members[d]] = acc_d
 
@@ -334,15 +291,7 @@ class DistributedRuntime:
         """Key computation, split-point maintenance, migration traffic."""
         n = x.shape[0]
         K = self.n_ranks
-        box = compute_bounding_box(x)
-        if self.config.bits is not None:
-            bits = self.config.bits
-        else:
-            bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
-        # Same grid as hilbert_keys (quantize_to_grid cubifies), but the
-        # cache makes repeat evaluations at unchanged positions free and
-        # lets the per-rank BVH sorts reuse the global keys.
-        keys = self._keycache.keys(x, box, bits=bits, curve="hilbert")
+        box, keys = self._keys(x)
         if (self._resume_replay and self._decomp is not None
                 and self._decomp.n_bodies == n):
             # Checkpoint-resume replay: this evaluation re-runs the one
@@ -400,6 +349,21 @@ class DistributedRuntime:
         self._charge_partition_ranks(decomp, dim)
         return decomp, rebalanced, migrated, keys
 
+    def _keys(self, x: np.ndarray):
+        """Bounding box and global Hilbert keys of *x*.
+
+        Same grid as hilbert_keys (quantize_to_grid cubifies), but the
+        cache makes repeat evaluations at unchanged positions free and
+        lets the per-rank BVH sorts reuse the global keys.
+        """
+        box = compute_bounding_box(x)
+        dim = x.shape[1]
+        if self.config.bits is not None:
+            bits = self.config.bits
+        else:
+            bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
+        return box, self._keycache.keys(x, box, bits=bits, curve="hilbert")
+
     def _charge_partition_ranks(self, decomp, dim: int) -> None:
         """Each rank encodes + sorts its own bodies (keys are 1 encode,
         ~5 flops/bit/dim; local sort n log n)."""
@@ -417,134 +381,60 @@ class DistributedRuntime:
             )
 
     # ------------------------------------------------------------------
-    def _build_octrees(self, xr, mr):
-        from repro.octree.build_concurrent import build_octree_concurrent
-        from repro.octree.build_vectorized import build_octree_vectorized
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_grouped,
-            octree_tree_view,
-        )
-        from repro.octree.multipoles import (
-            compute_multipoles_concurrent,
-            compute_multipoles_vectorized,
-        )
+    def _rebuild(self, x, m, decomp, keys):
+        """Per-rank trees from scratch plus the LET exchange.
 
-        cfg = self.config
-        pools = [None] * self.n_ranks
-        views = [None] * self.n_ranks
-        with self.ctx.step("build_tree"):
-            for r in range(self.n_ranks):
-                if xr[r].shape[0] == 0:
-                    continue
-                rc = self.rank_ctx[r]
-                with rc.step("bounding_box"):
-                    box = compute_bounding_box(xr[r])
-                    rc.counters.add(
-                        flops=2.0 * xr[r].size, bytes_read=8.0 * xr[r].size,
-                        loop_iterations=float(xr[r].shape[0]), kernel_launches=1.0,
-                    )
-                with rc.step("build_tree"):
-                    if rc.backend == "reference":
-                        pools[r] = build_octree_concurrent(
-                            xr[r], bits=cfg.bits, box=box, ctx=rc)
-                    else:
-                        pools[r] = build_octree_vectorized(
-                            xr[r], bits=cfg.bits, box=box, ctx=rc)
-        with self.ctx.step("multipoles"):
-            for r in range(self.n_ranks):
-                if pools[r] is None:
-                    continue
-                rc = self.rank_ctx[r]
-                with rc.step("multipoles"):
-                    if rc.backend == "reference":
-                        compute_multipoles_concurrent(
-                            pools[r], xr[r], mr[r], rc, order=cfg.multipole_order)
-                    else:
-                        compute_multipoles_vectorized(
-                            pools[r], xr[r], mr[r], rc, order=cfg.multipole_order)
-                views[r] = octree_tree_view(pools[r])
-        self._last_trees = pools
-        return (views, *self._octree_closures(pools, xr, mr))
-
-    def _octree_closures(self, pools, xr, mr):
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
-        )
-
-        cfg = self.config
-
-        def local_force(r: int) -> np.ndarray:
-            rc = self.rank_ctx[r]
-            if cfg.traversal == "dual":
-                return octree_accelerations_dual(
-                    pools[r], xr[r], mr[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    cc_mac=cfg.cc_mac, expansion_order=cfg.expansion_order,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            if cfg.traversal == "grouped":
-                return octree_accelerations_grouped(
-                    pools[r], xr[r], mr[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            return octree_accelerations(
-                pools[r], xr[r], mr[r], cfg.gravity,
-                theta=cfg.theta, ctx=rc, simt_width=cfg.simt_width,
-            )
-
-        def exact(s: int):
-            return pools[s].leaf_bodies
-
-        return local_force, exact
-
-    def _refit_octrees(self, xr, mr):
-        """Refit step: keep pool structure, refresh multipoles + views.
-
-        Leaf membership is the epoch's; bounded drift (the refit gate)
-        keeps the fixed cell geometry a valid MAC bound because the LET
-        plans were built with the inflated opening radius.
+        In maintained mode this starts a refit epoch: the LET plans are
+        built with the drift-budget margin so they survive refit steps,
+        and the BVH sorts reuse the partition's global keys (encode
+        dedupe).  Checkpoint resume replays it at the epoch positions
+        (:mod:`repro.core.suspend`).
         """
-        from repro.octree.force import octree_tree_view
-        from repro.octree.multipoles import (
-            compute_multipoles_concurrent,
-            compute_multipoles_vectorized,
-        )
-
         cfg = self.config
-        pools = self._epoch["trees"]
-        views = [None] * self.n_ranks
-        with self.ctx.step("multipoles"):
-            for r in range(self.n_ranks):
-                if pools[r] is None:
-                    continue
-                rc = self.rank_ctx[r]
-                with rc.step("multipoles"):
-                    if rc.backend == "reference":
-                        compute_multipoles_concurrent(
-                            pools[r], xr[r], mr[r], rc, order=cfg.multipole_order)
-                    else:
-                        compute_multipoles_vectorized(
-                            pools[r], xr[r], mr[r], rc, order=cfg.multipole_order)
-                views[r] = octree_tree_view(pools[r])
-        return (views, *self._octree_closures(pools, xr, mr))
+        members = [decomp.members(r) for r in range(self.n_ranks)]
+        xr = [x[i] for i in members]
+        mr = [m[i] for i in members]
+        maintained = cfg.tree_update != "rebuild"
+        margin = 0.0
+        if maintained:
+            box = compute_bounding_box(x)
+            margin = cfg.drift_budget * max(
+                cubify(box).longest_side, np.finfo(FLOAT).tiny
+            )
+        trees = self._build_trees(
+            xr, mr, [keys[i] for i in members] if maintained else None)
+        views = self._views(trees)
+        with self.ctx.step("exchange"):
+            let_bytes = self._exchange(decomp, x, views, x.shape[1],
+                                       mac_margin=margin)
+        if maintained:
+            self._epoch = {
+                "x_ref": x.copy(),
+                "decomp": decomp,
+                "members": members,
+                "trees": trees,
+                "plans": self._last_plans,
+                "budget_abs": margin,
+                "gate_factor": 2.0 + self.algo.hooks.refit_growth(cfg.theta),
+            }
+            self.maint_counts["rebuild"] += 1
+        return members, xr, mr, trees, views, let_bytes
 
-    def _build_bvhs(self, xr, mr, keys_r=None):
-        from repro.bvh.build import assemble_bvh, hilbert_sort_permutation
-        from repro.bvh.force import (
-            bvh_accelerations,
-            bvh_accelerations_grouped,
-            bvh_tree_view,
-        )
-
+    def _build_trees(self, xr, mr, keys_r=None):
+        """Per-rank bounding box, build and moments via the tree hooks."""
+        hooks = self.algo.hooks
         cfg = self.config
-        bvhs = [None] * self.n_ranks
-        views = [None] * self.n_ranks
+        structures = [None] * self.n_ranks
+        trees = [None] * self.n_ranks
+
+        def moments(r: int) -> None:
+            rc = self.rank_ctx[r]
+            with rc.step(hooks.moments_step):
+                trees[r] = hooks.moments(structures[r], xr[r], mr[r], cfg, rc)
+
+        # The BVH accumulates moments inside its build
+        # (BUILDTREEACCUMULATEMASS); the octree runs a pass of its own.
+        fused = hooks.fused_moments
         with self.ctx.step("build_tree"):
             for r in range(self.n_ranks):
                 if xr[r].shape[0] == 0:
@@ -556,81 +446,45 @@ class DistributedRuntime:
                         flops=2.0 * xr[r].size, bytes_read=8.0 * xr[r].size,
                         loop_iterations=float(xr[r].shape[0]), kernel_launches=1.0,
                     )
-                with rc.step("sort"):
+                with rc.step(hooks.build_step):
                     # Global curve keys from the partitioner, when
                     # handed down, stand in for the per-rank encode:
                     # key order is preserved under restriction to a
                     # rank's (curve-contiguous) slice.
-                    kr = keys_r[r] if keys_r is not None else None
-                    perm = hilbert_sort_permutation(
-                        xr[r], box, bits=cfg.bits, ctx=rc, curve=cfg.curve,
-                        keys=kr)
-                with rc.step("build_tree"):
-                    bvhs[r] = assemble_bvh(
-                        xr[r], mr[r], perm, box, ctx=rc, order=cfg.multipole_order)
-                views[r] = bvh_tree_view(bvhs[r])
-        self._last_trees = bvhs
-        return (views, *self._bvh_closures(bvhs, xr, mr))
-
-    def _bvh_closures(self, bvhs, xr, mr):
-        from repro.bvh.force import (
-            bvh_accelerations,
-            bvh_accelerations_dual,
-            bvh_accelerations_grouped,
-        )
-
-        cfg = self.config
-
-        def local_force(r: int) -> np.ndarray:
-            rc = self.rank_ctx[r]
-            if cfg.traversal == "dual":
-                return bvh_accelerations_dual(
-                    bvhs[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    cc_mac=cfg.cc_mac, expansion_order=cfg.expansion_order,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            if cfg.traversal == "grouped":
-                return bvh_accelerations_grouped(
-                    bvhs[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            return bvh_accelerations(
-                bvhs[r], cfg.gravity,
-                theta=cfg.theta, ctx=rc, simt_width=cfg.simt_width,
-            )
-
-        def exact(s: int):
-            return None  # BVH leaves are single bodies; no buckets
-
-        return local_force, exact
-
-    def _refit_bvhs(self, xr, mr):
-        """Refit step: fused level-sweep AABB/multipole refresh per rank."""
-        from repro.bvh.build import refit_bvh
-        from repro.bvh.force import bvh_tree_view
-
-        bvhs = self._epoch["trees"]
-        new = [None] * self.n_ranks
-        views = [None] * self.n_ranks
-        with self.ctx.step("refit"):
-            for r in range(self.n_ranks):
-                if bvhs[r] is None:
-                    continue
-                rc = self.rank_ctx[r]
-                with rc.step("refit"):
-                    new[r] = refit_bvh(bvhs[r], xr[r], ctx=rc)
-                views[r] = bvh_tree_view(new[r])
-        self._epoch["trees"] = new
-        return (views, *self._bvh_closures(new, xr, mr))
+                    structures[r] = hooks.build(
+                        xr[r], box, cfg, rc,
+                        keys=keys_r[r] if keys_r is not None else None)
+                if fused:
+                    moments(r)
+        if not fused:
+            with self.ctx.step(hooks.moments_step):
+                for r in range(self.n_ranks):
+                    if structures[r] is not None:
+                        moments(r)
+        return trees
 
     def _refit_trees(self, xr, mr):
-        if self.config.algorithm == "octree":
-            return self._refit_octrees(xr, mr)
-        return self._refit_bvhs(xr, mr)
+        """Refit step: every rank's epoch tree refit in place of a build.
+
+        Leaf membership is the epoch's; bounded drift (the refit gate)
+        keeps the epoch geometry a valid MAC bound because the LET
+        plans were built with the inflated opening radius.
+        """
+        hooks = self.algo.hooks
+        trees = list(self._epoch["trees"])
+        with self.ctx.step(hooks.refit_step):
+            for r in range(self.n_ranks):
+                if trees[r] is None:
+                    continue
+                rc = self.rank_ctx[r]
+                with rc.step(hooks.refit_step):
+                    trees[r] = hooks.refit(trees[r], xr[r], mr[r],
+                                           self.config, rc)
+        self._epoch["trees"] = trees
+        return trees
+
+    def _views(self, trees) -> list:
+        return [None if t is None else self.algo.hooks.view(t) for t in trees]
 
     # ------------------------------------------------------------------
     def _refit_valid(self, x, keys, rebalanced, migrated) -> bool:

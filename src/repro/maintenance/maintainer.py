@@ -78,14 +78,15 @@ class TreeMaintainer:
             config.tree_update, config.refit_disorder_threshold
         )
         self._model = CostModel(ctx.device, toolchain=ctx.toolchain)
-        #: Structure-cache entry dict handed to the grouped force kernels
-        #: (they store interaction lists in it under the ``ilists`` key).
+        #: Structure-cache entry dict handed to the grouped/dual force
+        #: driver (it stores interaction lists in it under the
+        #: ``ilists`` / ``dlists`` keys).
         self.entry: dict = {}
         #: Maintenance event counts, exposed through ``--profile``.
         self.counts = {"rebuild": 0, "refit": 0, "lists_dropped": 0}
         self.last_decision: Decision | None = None
         #: Opening-radius inflation for lists built *this* step (the
-        #: adaptive margin); force kernels receive it verbatim and the
+        #: adaptive margin); the force driver receives it verbatim and the
         #: lists remember it for their own validity gate.
         self.mac_margin = 0.0
         # --- epoch state ---------------------------------------------
@@ -99,6 +100,11 @@ class TreeMaintainer:
         self._list_state: dict = {}  # ilists key -> (lists, x snapshot)
         self._snap: dict | None = None
         self._last_action: str | None = None
+
+    @property
+    def tree(self):
+        """The epoch structure: the BVH, or the octree pool."""
+        return self._bvh if self._bvh is not None else self._pool
 
     # ------------------------------------------------------------------
     # BVH
@@ -135,7 +141,8 @@ class TreeMaintainer:
         else:
             with ctx.step("refit"):
                 self._bvh = refit_bvh(self._bvh, x, ctx=ctx)
-                self._gate_lists(x, kind="bvh")
+                self._gate_lists(x, kind="bvh",
+                                 growth=algo.hooks.refit_growth(config.theta))
             self.counts["refit"] += 1
         self._update_margin()
         return self._bvh
@@ -183,7 +190,8 @@ class TreeMaintainer:
                 # phase (which the caller runs every step regardless)
                 # refreshes coms at the current positions.  Only the
                 # cached lists need revalidating here.
-                self._gate_lists(x, kind="octree")
+                self._gate_lists(x, kind="octree",
+                                 growth=algo.hooks.refit_growth(config.theta))
             self.counts["refit"] += 1
         self._update_margin()
         return self._pool
@@ -275,9 +283,11 @@ class TreeMaintainer:
             drift_ok=drift <= self._budget_abs,
         )
 
-    def _gate_lists(self, x: np.ndarray, *, kind: str) -> None:
-        """Drop cached lists whose drift-bounded validity gate fails."""
-        theta = self.config.theta
+    def _gate_lists(self, x: np.ndarray, *, kind: str, growth: float) -> None:
+        """Drop cached lists whose drift-bounded validity gate fails.
+
+        *growth* is the tree's MAC-extent growth per unit node drift
+        under refit (``hooks.refit_growth(theta)``)."""
         n, dim = x.shape
         for key in [k for k in self.entry
                     if isinstance(k, tuple) and k
@@ -291,13 +301,9 @@ class TreeMaintainer:
                 if kind == "bvh":
                     rows = disp[self._bvh.perm]
                     node_drift = bvh_node_drift(self._bvh.layout, rows)
-                    # Refit refreshes BVH boxes, so an accepted node's
-                    # longest side can grow by up to twice its drift.
-                    size_factor = 2.0 / theta if theta > 0.0 else np.inf
                 else:
                     rows = disp[cached["perm"]]
                     node_drift = octree_node_drift(self._pool, disp)
-                    size_factor = 0.0  # octree cell sizes never change
                 grp = group_drift(cached["groups"].offsets, rows)
                 nf = 0
                 with np.errstate(invalid="ignore"):
@@ -306,11 +312,11 @@ class TreeMaintainer:
 
                         ok = dual_lists_valid(cached["dual"], grp,
                                               node_drift,
-                                              size_factor=size_factor)
+                                              size_factor=growth)
                         nf = cached["dual"].n_far
                     else:
                         ok = lists_valid(cached["lists"], grp, node_drift,
-                                         size_factor=size_factor)
+                                         size_factor=growth)
                 nn = node_drift.shape[0]
                 ne = cached["lists"].nodes.shape[0]
                 self.ctx.counters.add(

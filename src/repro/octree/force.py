@@ -21,40 +21,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.aabb import quantize_to_grid
-from repro.geometry.hilbert import hilbert_encode
-from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D
-from repro.machine.counters import Counters
 from repro.octree.layout import _BODY_BASE, OctreePool
 from repro.octree.traversal import DONE, compute_escape_indices
-from repro.physics.gravity import (
-    FLOPS_PER_INTERACTION,
-    GravityParams,
-    SPECIAL_PER_INTERACTION,
-)
-from repro.physics.multipole import (
-    QUAD_EXTRA_BYTES,
-    QUAD_EXTRA_FLOPS,
-    quadrupole_accel,
-)
+from repro.physics.gravity import GravityParams
+from repro.physics.multipole import quadrupole_accel
 from repro.traversal.engine import (
     KLASS_EXACT,
     KLASS_INTERNAL,
     KLASS_POINT,
     KLASS_SKIP,
     TreeView,
-    account_grouped_force,
-    build_interaction_lists,
-    build_self_pairs,
-    evaluate_interaction_lists,
+    account_lockstep_force,
+    # Re-exported: perfbench's span tests check that from-import
+    # bindings of the list builder in the tree modules are swapped.
+    build_interaction_lists,  # noqa: F401
 )
-from repro.traversal.flat import build_flat_lists
-from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
 
-#: Bytes touched per node visit: child word (8) + centre of mass
-#: (dim * 8) + mass (8) + depth (2) + escape (8).
-_VISIT_BYTES_3D = 50.0
+#: Flops per node visit of the octree walk (cell-side MAC + step).
+_FLOPS_PER_VISIT = 8.0
+
+
+def _visit_bytes(dim: int) -> float:
+    """Bytes touched per node visit: child word (8) + centre of mass
+    (dim * 8) + mass (8) + depth (2) + escape (8)."""
+    return 50.0 if dim == 3 else 42.0
 
 
 def _prepare(pool: OctreePool) -> None:
@@ -152,8 +143,11 @@ def octree_accelerations(
                     interactions += 1
 
     if ctx is not None:
-        _account_force(steps, interactions, dim, simt_width, ctx.counters,
-                       quad_terms=quad_terms)
+        account_lockstep_force(ctx.counters, steps, interactions, dim=dim,
+                               simt_width=simt_width,
+                               visit_bytes=_visit_bytes(dim),
+                               flops_per_visit=_FLOPS_PER_VISIT,
+                               quad_terms=quad_terms)
     return acc
 
 
@@ -203,49 +197,9 @@ def octree_accelerations_scalar(
     return acc
 
 
-def _account_force(
-    steps: np.ndarray,
-    interactions: int,
-    dim: int,
-    simt_width: int,
-    counters: Counters,
-    quad_terms: int = 0,
-) -> None:
-    """Charge traversal + interaction work, with exact warp divergence."""
-    total = float(steps.sum())
-    n = steps.shape[0]
-    pad = (-n) % simt_width
-    warps = np.pad(steps, (0, pad)).reshape(-1, simt_width)
-    warp_total = float(warps.max(axis=1).sum() * simt_width)
-    visit_bytes = _VISIT_BYTES_3D if dim == 3 else 42.0
-    counters.add(
-        flops=(interactions * FLOPS_PER_INTERACTION + total * 8.0
-               + quad_terms * QUAD_EXTRA_FLOPS),
-        special_flops=interactions * SPECIAL_PER_INTERACTION,
-        bytes_irregular=total * visit_bytes + quad_terms * QUAD_EXTRA_BYTES,
-        bytes_read=(total * visit_bytes + n * dim * 8.0
-                    + quad_terms * QUAD_EXTRA_BYTES),
-        bytes_written=n * dim * 8.0,
-        traversal_steps=total,
-        traversal_steps_max=float(steps.max(initial=0)),
-        warp_traversal_steps=warp_total,
-        mac_evals=total,  # every visit tests the MAC once
-        loop_iterations=float(n),
-        kernel_launches=1.0,
-    )
-
-
 # ----------------------------------------------------------------------
-# Group-coherent traversal (one walk per Hilbert-contiguous body group).
+# Traversal-engine view (grouped / dual traversal, LET selection).
 # ----------------------------------------------------------------------
-
-def _hilbert_body_order(x: np.ndarray, box) -> np.ndarray:
-    """Hilbert-curve permutation of the (unsorted) octree bodies."""
-    n, dim = x.shape
-    bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
-    keys = hilbert_encode(quantize_to_grid(x, box, bits), bits)
-    return np.argsort(keys, kind="stable")
-
 
 def _octree_dfs_ranks(pool: OctreePool) -> np.ndarray:
     """DFS-preorder rank of every pool node (level-vectorized)."""
@@ -274,8 +228,14 @@ def _octree_dfs_ranks(pool: OctreePool) -> np.ndarray:
     return rank
 
 
-def _octree_tree_view(pool: OctreePool) -> TreeView:
-    """Flat traversal-engine view of the pool."""
+def octree_tree_view(pool: OctreePool) -> TreeView:
+    """Flat traversal-engine view of the pool (multipoles computed).
+
+    The octree leaves body order to the force driver (a Hilbert sort
+    over the root cell); bucket leaves expand through
+    :meth:`OctreePool.leaf_bodies`.
+    """
+    _prepare(pool)
     nn = pool.n_nodes
     child = pool.child[:nn]
     count = pool.count[:nn]
@@ -298,258 +258,8 @@ def _octree_tree_view(pool: OctreePool) -> TreeView:
         point_body=point_body,
         dfs_rank=_octree_dfs_ranks(pool),
         quad=pool.quad,
-        visit_bytes=_VISIT_BYTES_3D if pool.dim == 3 else 42.0,
+        visit_bytes=_visit_bytes(pool.dim),
+        flops_per_visit=_FLOPS_PER_VISIT,
+        exact_bodies=pool.leaf_bodies,
+        box=pool.box,
     )
-
-
-#: Public alias: the distributed runtime builds LETs and cross-rank
-#: interaction lists against this same view.
-octree_tree_view = _octree_tree_view
-
-
-def octree_accelerations_grouped(
-    pool: OctreePool,
-    x: np.ndarray,
-    m: np.ndarray,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
-    """Barnes-Hut accelerations via group-coherent traversal.
-
-    Bodies are Hilbert-sorted and partitioned into contiguous groups of
-    *group_size*; the stackless walk runs once per group with the
-    conservative group MAC and emits an interaction list, which is then
-    evaluated as dense ``group x node`` tiles.  *cache*, when given, is
-    the structure-cache entry dict: the lists (and the Hilbert
-    permutation) are stored in it and reused across timesteps for as
-    long as the tree structure itself is, then rebuilt with it.
-
-    At ``group_size=1`` (monopole order) the result is bit-identical to
-    :func:`octree_accelerations`.
-    """
-    _prepare(pool)
-    x = np.asarray(x, dtype=FLOAT)
-    n, dim = x.shape
-    if n == 0 or pool.n_nodes == 0:
-        return np.zeros((n, dim), dtype=FLOAT)
-
-    key = ("ilists", float(theta), int(group_size))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["perm"].shape[0] != n
-    view = _octree_tree_view(pool)
-    if built:
-        perm = _hilbert_body_order(x, pool.box)
-        groups = make_groups(x[perm], group_size)
-        lists = build_interaction_lists(view, groups, theta,
-                                        mac_margin=mac_margin)
-        cached = {"perm": perm, "groups": groups, "lists": lists}
-        if cache is not None:
-            cache[key] = cached
-    perm = cached["perm"]
-    groups = cached["groups"]
-    lists = cached["lists"]
-
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    # Per-epoch precomputes live inside the cached entry, so the
-    # maintainer's list invalidation drops them in the same stroke.
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            # Bucket-leaf bodies fold into the flat near-field pools, so
-            # the scalar exact loop below is skipped in this mode.
-            flat = build_flat_lists(view, lists, groups, body_ids=perm,
-                                    exact_bodies=pool.leaf_bodies)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, lists, groups,
-                                          body_ids=perm)
-            cached["selfpairs"] = self_pairs
-
-    m_sorted = np.asarray(m, dtype=FLOAT)[perm]
-    acc_s, stats = evaluate_interaction_lists(
-        view, lists, groups, x[perm],
-        G=params.G, eps2=params.eps2, body_ids=perm, mode=mode,
-        flat=flat, m_sorted=m_sorted, self_pairs=self_pairs,
-    )
-
-    # Exact expansion of bucket leaves (same scalar math as lockstep).
-    pairs = stats["pairs"]
-    if not (flat is not None and flat.includes_exact):
-        eps2 = params.eps2
-        G = params.G
-        go = groups.offsets
-        for g, node in zip(lists.exact_groups, lists.exact_nodes):
-            bodies = pool.leaf_bodies(int(node))
-            for row in range(int(go[g]), int(go[g + 1])):
-                i = int(perm[row])
-                for b in bodies:
-                    if b == i:
-                        continue
-                    d = x[b] - x[i]
-                    r2b = float(d @ d) + eps2
-                    if r2b > 0.0:
-                        acc_s[row] += G * m[b] * r2b**-1.5 * d
-                        pairs += 1
-
-    if ctx is not None:
-        account_grouped_force(
-            ctx.counters, lists, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=pairs, quad_terms=stats["quad_terms"],
-            visit_bytes=view.visit_bytes, built=built,
-            sort_comparisons=float(n) * float(np.log2(max(n, 2))) if built else 0.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[perm] = acc_s
-    return out
-
-
-def octree_accelerations_dual(
-    pool: OctreePool,
-    x: np.ndarray,
-    m: np.ndarray,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    cc_mac: float = 1.5,
-    expansion_order: int = 2,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
-    """Barnes-Hut accelerations via the dual-tree cell-cell traversal.
-
-    Same Hilbert grouping as :func:`octree_accelerations_grouped`, but
-    groups are organized into a target tree and classified against the
-    octree by the simultaneous walk of :mod:`repro.traversal.dual`:
-    well-separated cell pairs are evaluated once via M2L and swept down
-    to bodies, the near field falls back to the grouped tile kernels
-    verbatim.  ``cc_mac=0`` disables the cell-cell branch and is
-    bit-identical to the grouped mode.
-    """
-    # Imported here, not at module top: repro.traversal.dual itself
-    # imports the BVH layout, whose package init re-enters this module.
-    from repro.traversal.dual import (
-        account_dual_force,
-        build_dual_lists,
-        build_target_tree,
-        evaluate_dual,
-    )
-
-    _prepare(pool)
-    x = np.asarray(x, dtype=FLOAT)
-    n, dim = x.shape
-    if n == 0 or pool.n_nodes == 0:
-        return np.zeros((n, dim), dtype=FLOAT)
-
-    key = ("dlists", float(theta), int(group_size), float(cc_mac),
-           int(expansion_order))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["perm"].shape[0] != n
-    view = _octree_tree_view(pool)
-    if built:
-        perm = _hilbert_body_order(x, pool.box)
-        groups = make_groups(x[perm], group_size)
-        tt = build_target_tree(groups)
-        dual = build_dual_lists(view, tt, theta, cc_mac=cc_mac,
-                                mac_margin=mac_margin)
-        # "lists" aliases the near side so the maintenance snapshot /
-        # drift gate sees the same shape as a grouped entry.
-        cached = {"perm": perm, "groups": groups, "dual": dual,
-                  "lists": dual.near}
-        if cache is not None:
-            cache[key] = cached
-    perm = cached["perm"]
-    groups = cached["groups"]
-    dual = cached["dual"]
-
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            flat = build_flat_lists(view, dual.near, groups,
-                                    body_ids=perm,
-                                    exact_bodies=pool.leaf_bodies)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, dual.near, groups,
-                                          body_ids=perm)
-            cached["selfpairs"] = self_pairs
-
-    m_sorted = np.asarray(m, dtype=FLOAT)[perm]
-    acc_s, stats = evaluate_dual(
-        view, dual, groups, x[perm],
-        G=params.G, eps2=params.eps2, body_ids=perm, mode=mode,
-        expansion_order=expansion_order, ctx=ctx,
-        flat=flat, m_sorted=m_sorted, self_pairs=self_pairs,
-    )
-
-    # Exact expansion of bucket leaves (same scalar math as grouped).
-    pairs = stats["pairs"]
-    if not (flat is not None and flat.includes_exact):
-        eps2 = params.eps2
-        G = params.G
-        go = groups.offsets
-        for g, node in zip(dual.near.exact_groups, dual.near.exact_nodes):
-            bodies = pool.leaf_bodies(int(node))
-            for row in range(int(go[g]), int(go[g + 1])):
-                i = int(perm[row])
-                for b in bodies:
-                    if b == i:
-                        continue
-                    d = x[b] - x[i]
-                    r2b = float(d @ d) + eps2
-                    if r2b > 0.0:
-                        acc_s[row] += G * m[b] * r2b**-1.5 * d
-                        pairs += 1
-
-    if ctx is not None:
-        account_dual_force(
-            ctx.counters, dual, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=pairs, quad_terms=stats["quad_terms"],
-            quad_far=stats["quad_far"], expansion_order=expansion_order,
-            visit_bytes=view.visit_bytes, built=built,
-            sort_comparisons=float(n) * float(np.log2(max(n, 2))) if built else 0.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[perm] = acc_s
-    return out

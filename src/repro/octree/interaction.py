@@ -146,8 +146,12 @@ def tree_interaction(
                 scalar[i] += z[0]
 
     if ctx is not None:
-        from repro.octree.force import _account_force
+        from repro.octree.force import _FLOPS_PER_VISIT, _visit_bytes
+        from repro.traversal.engine import account_lockstep_force
 
         interactions = int(steps.sum())  # upper bound: one eval per visit
-        _account_force(steps, interactions, dim, simt_width, ctx.counters)
+        account_lockstep_force(ctx.counters, steps, interactions, dim=dim,
+                               simt_width=simt_width,
+                               visit_bytes=_visit_bytes(dim),
+                               flops_per_visit=_FLOPS_PER_VISIT)
     return vec, scalar

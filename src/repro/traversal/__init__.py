@@ -20,7 +20,10 @@ both tree strategies (octree and Hilbert BVH):
 * :mod:`repro.traversal.dual` — the dual-tree cell-cell walk: a target
   tree over the groups, a symmetric MAC that retires well-separated
   cell pairs once via M2L into local expansions, and the L2L/L2P
-  downsweep that carries them to bodies.
+  downsweep that carries them to bodies;
+* :mod:`repro.traversal.driver` — the one grouped/dual force driver
+  over a :class:`TreeView`, shared by every tree and by the core,
+  distributed and checkpoint-replay paths.
 
 At ``group_size=1`` the group AABB degenerates to the body's position,
 the conservative MAC coincides with the per-body criterion, and the
@@ -37,9 +40,11 @@ from repro.traversal.engine import (
     TreeView,
     SelfPairs,
     account_grouped_force,
+    account_lockstep_force,
     build_interaction_lists,
     build_self_pairs,
     evaluate_interaction_lists,
+    resolve_eval_mode,
 )
 from repro.traversal.flat import (
     FlatLists,
@@ -59,6 +64,10 @@ from repro.traversal.dual import (  # noqa: E402
     dual_lists_valid,
     evaluate_dual,
 )
+from repro.traversal.driver import (  # noqa: E402
+    hilbert_body_order,
+    tree_accelerations,
+)
 
 __all__ = [
     "BodyGroups",
@@ -74,6 +83,7 @@ __all__ = [
     "KLASS_SKIP",
     "account_dual_force",
     "account_grouped_force",
+    "account_lockstep_force",
     "build_dual_lists",
     "build_flat_lists",
     "build_interaction_lists",
@@ -83,5 +93,8 @@ __all__ = [
     "evaluate_dual",
     "evaluate_flat",
     "evaluate_interaction_lists",
+    "hilbert_body_order",
     "make_groups",
+    "resolve_eval_mode",
+    "tree_accelerations",
 ]

@@ -1,0 +1,189 @@
+"""The grouped / dual force driver, shared by every tree.
+
+Both trees reach CALCULATEFORCE's group-coherent forms through this one
+function: it sees the tree only as a :class:`~repro.traversal.engine.
+TreeView` (per-node arrays plus the tree's body order, bucket-leaf
+callback and accounting constants), so the list cache, the evaluator
+choice, the per-epoch precomputes, the exact bucket-leaf expansion, the
+accounting and the un-permute exist once.  The paper's per-body
+lockstep kernels (``repro.octree.force`` / ``repro.bvh.force``) stay
+separate as the bit-exact references.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.geometry.aabb import quantize_to_grid
+from repro.geometry.hilbert import hilbert_encode
+from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D
+from repro.physics.gravity import GravityParams
+from repro.traversal.dual import (
+    account_dual_force,
+    build_dual_lists,
+    build_target_tree,
+    evaluate_dual,
+)
+from repro.traversal.engine import (
+    TreeView,
+    account_grouped_force,
+    build_interaction_lists,
+    build_self_pairs,
+    evaluate_interaction_lists,
+    resolve_eval_mode,
+)
+from repro.traversal.flat import build_flat_lists
+from repro.traversal.groups import make_groups
+from repro.types import FLOAT
+
+
+def hilbert_body_order(x: np.ndarray, box) -> np.ndarray:
+    """Hilbert-curve permutation of bodies the tree leaves unsorted."""
+    n, dim = x.shape
+    bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
+    keys = hilbert_encode(quantize_to_grid(x, box, bits), bits)
+    return np.argsort(keys, kind="stable")
+
+
+def tree_accelerations(
+    view: TreeView,
+    x: np.ndarray,
+    m: np.ndarray,
+    params: GravityParams = GravityParams(),
+    *,
+    traversal: str = "grouped",
+    theta: float = 0.5,
+    group_size: int = 32,
+    cc_mac: float = 1.5,
+    expansion_order: int = 2,
+    ctx=None,
+    simt_width: int = 32,
+    cache: dict | None = None,
+    eval_mode: str = "auto",
+    mac_margin: float = 0.0,
+) -> np.ndarray:
+    """Accelerations of bodies *x*/*m* (caller order) over the tree *view*.
+
+    Bodies are put in curve order (``view.body_order``, or a Hilbert
+    sort over ``view.box``) and partitioned into contiguous groups of
+    *group_size*.  ``traversal="grouped"`` walks the tree once per group
+    with the conservative group MAC and evaluates the emitted
+    interaction lists as dense tiles; ``"dual"`` organizes the groups
+    into a target tree and classifies them against the source tree by
+    the simultaneous walk of :mod:`repro.traversal.dual`, retiring
+    well-separated cell pairs once via M2L + downsweep.
+
+    *cache*, when given, is the structure-cache entry dict: the lists,
+    the body order and the evaluator precomputes are stored in it and
+    reused for as long as the tree structure itself is.  *mac_margin*
+    inflates the opening radius of freshly built lists (the
+    drift-bounded MAC of :mod:`repro.maintenance`).
+
+    At ``group_size=1`` (monopole order) the grouped result is
+    bit-identical to the lockstep kernels, and ``cc_mac=0`` makes the
+    dual result bit-identical to the grouped one.
+    """
+    x = np.asarray(x, dtype=FLOAT)
+    n, dim = x.shape
+    if n == 0 or view.mass.shape[0] == 0:
+        return np.zeros((n, dim), dtype=FLOAT)
+
+    dual = traversal == "dual"
+    key = (("dlists", float(theta), int(group_size), float(cc_mac),
+            int(expansion_order)) if dual
+           else ("ilists", float(theta), int(group_size)))
+    cached = cache.get(key) if cache is not None else None
+    built = cached is None or cached["groups"].n_bodies != n
+    sorts = view.body_order is None
+    if built:
+        perm = hilbert_body_order(x, view.box) if sorts else view.body_order
+        groups = make_groups(x[perm], group_size)
+        cached = {"perm": perm, "groups": groups}
+        if dual:
+            cached["dual"] = build_dual_lists(
+                view, build_target_tree(groups), theta, cc_mac=cc_mac,
+                mac_margin=mac_margin)
+            # "lists" aliases the near side so the maintenance snapshot /
+            # drift gate sees the same shape as a grouped entry.
+            cached["lists"] = cached["dual"].near
+        else:
+            cached["lists"] = build_interaction_lists(
+                view, groups, theta, mac_margin=mac_margin)
+        if cache is not None:
+            cache[key] = cached
+    perm = cached["perm"]
+    groups = cached["groups"]
+    lists = cached["lists"]
+    # point_body ids are sorted rows when the tree fixes the body order.
+    body_ids = perm if sorts else None
+
+    mode = resolve_eval_mode(eval_mode, groups, amortized=cache is not None)
+    # Per-epoch precomputes live inside the cached entry, so the
+    # maintainer's list invalidation drops them in the same stroke.
+    flat = self_pairs = None
+    if mode == "flat":
+        flat = cached.get("flat")
+        if flat is None:
+            # Bucket-leaf bodies fold into the flat near-field pools, so
+            # the scalar exact loop below is skipped in this mode.
+            flat = cached["flat"] = build_flat_lists(
+                view, lists, groups, body_ids=body_ids,
+                exact_bodies=view.exact_bodies)
+    elif mode == "gemm":
+        self_pairs = cached.get("selfpairs")
+        if self_pairs is None:
+            self_pairs = cached["selfpairs"] = build_self_pairs(
+                view, lists, groups, body_ids=body_ids)
+
+    m_sorted = np.asarray(m, dtype=FLOAT)[perm]
+    kw = dict(G=params.G, eps2=params.eps2, body_ids=body_ids, mode=mode,
+              flat=flat, m_sorted=m_sorted, self_pairs=self_pairs)
+    if dual:
+        acc_s, stats = evaluate_dual(view, cached["dual"], groups, x[perm],
+                                     expansion_order=expansion_order,
+                                     ctx=ctx, **kw)
+    else:
+        acc_s, stats = evaluate_interaction_lists(view, lists, groups,
+                                                  x[perm], **kw)
+
+    # Exact expansion of bucket leaves (same scalar math as lockstep).
+    pairs = stats["pairs"]
+    if not (flat is not None and flat.includes_exact):
+        eps2 = params.eps2
+        G = params.G
+        go = groups.offsets
+        for g, node in zip(lists.exact_groups, lists.exact_nodes):
+            bodies = view.exact_bodies(int(node))
+            for row in range(int(go[g]), int(go[g + 1])):
+                i = int(perm[row])
+                for b in bodies:
+                    if b == i:
+                        continue
+                    d = x[b] - x[i]
+                    r2b = float(d @ d) + eps2
+                    if r2b > 0.0:
+                        acc_s[row] += G * m[b] * r2b**-1.5 * d
+                        pairs += 1
+
+    if ctx is not None:
+        common = dict(
+            n_bodies=n, dim=dim, simt_width=simt_width,
+            pairs=pairs, quad_terms=stats["quad_terms"],
+            visit_bytes=view.visit_bytes, built=built,
+            flops_per_visit=view.flops_per_visit,
+            sort_comparisons=(float(n) * float(np.log2(max(n, 2)))
+                              if built and sorts else 0.0),
+            flat_launches=stats["flat_launches"],
+            near_pairs_naive=stats["near_pairs_naive"],
+            near_pairs_evaluated=stats["near_pairs_evaluated"],
+        )
+        if dual:
+            account_dual_force(ctx.counters, cached["dual"], groups,
+                               quad_far=stats["quad_far"],
+                               expansion_order=expansion_order, **common)
+        else:
+            account_grouped_force(ctx.counters, lists, groups, **common)
+
+    out = np.empty_like(acc_s)
+    out[perm] = acc_s
+    return out

@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.bvh.layout import BVHLayout, next_pow2
 from repro.machine.counters import Counters
-from repro.maintenance.drift import lists_valid
 from repro.physics.local_expansion import (
     LocalExpansion,
     expansion_words,
@@ -468,6 +467,10 @@ def dual_lists_valid(
     drift, which costs ``2 / (theta * cc_mac)`` against the cell-cell
     threshold.
     """
+    # Deferred import: repro.maintenance imports the tree packages,
+    # which import this package.
+    from repro.maintenance.drift import lists_valid
+
     if not lists_valid(dual.near, grp_drift, node_drift,
                        size_factor=size_factor):
         return False

@@ -54,9 +54,11 @@ tile.  Two tile kernels are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from repro.geometry.aabb import AABB
 from repro.machine.counters import Counters
 from repro.physics.gravity import FLOPS_PER_INTERACTION, SPECIAL_PER_INTERACTION
 from repro.physics.multipole import (
@@ -127,6 +129,18 @@ class TreeView:
     quad: np.ndarray | None = None   # (n_nodes, 3, 3) at multipole order 2
     #: Bytes touched per node visit of the list-building walk.
     visit_bytes: float = 50.0
+    #: Flops per node visit (MAC test + pointer step): 8 for the
+    #: octree's cell-side MAC, 10 for the BVH's box-extent MAC.
+    flops_per_visit: float = 8.0
+    #: ``node -> body ids`` of a KLASS_EXACT bucket leaf, in the id space
+    #: of the caller's body arrays; None for trees without buckets.
+    exact_bodies: Callable[[int], list[int]] | None = None
+    #: Curve order of the bodies when the tree fixes it (the BVH's leaf
+    #: order; ``point_body`` then holds sorted rows).  None when the
+    #: force driver sorts the bodies along the Hilbert curve over
+    #: ``box`` itself (the octree; ``point_body`` holds body ids).
+    body_order: np.ndarray | None = None
+    box: AABB | None = None
 
 
 @dataclass
@@ -329,6 +343,21 @@ def build_self_pairs(
     return SelfPairs(offsets, rows, cols)
 
 
+def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
+    """The evaluator ``eval_mode="auto"`` stands for.
+
+    Tile for one-body groups, whose contract is bit-exactness with the
+    lockstep kernels; otherwise flat when its one-time index expansion
+    is *amortized* across an epoch (a structure cache holds the lists),
+    gemm for one-shot evaluations.  Explicit modes pass through.
+    """
+    if mode != "auto":
+        return mode
+    if groups.max_group_size <= 1:
+        return "tile"
+    return "flat" if amortized else "gemm"
+
+
 def evaluate_interaction_lists(
     view: TreeView,
     lists: InteractionLists,
@@ -354,23 +383,17 @@ def evaluate_interaction_lists(
     sequential reduction), ``"gemm"`` (BLAS), ``"flat"`` (flattened
     SoA batch kernels with n3l near-field dedup — see
     :mod:`repro.traversal.flat`), or ``"auto"`` (tile only for the
-    degenerate one-body groups whose contract is exactness, flat
-    otherwise).  *flat* / *self_pairs* are the per-epoch precomputes
-    (built on the fly when omitted — callers with a structure cache
-    should pass them); *m_sorted* (masses in sorted-row order) enables
+    degenerate one-body groups whose contract is exactness, flat when
+    *flat* is given, gemm otherwise — :func:`resolve_eval_mode`).
+    *flat* / *self_pairs* are the per-epoch precomputes (built on the
+    fly when omitted — callers with a structure cache should pass
+    them); *m_sorted* (masses in sorted-row order) enables
     the n3l dedup in flat mode.
     """
     x_sorted = np.asarray(x_sorted, dtype=FLOAT)
     n, dim = x_sorted.shape
     acc = np.zeros((n, dim), dtype=FLOAT)
-    if mode == "auto":
-        # Flat only pays when its one-time index expansion is amortized
-        # across an epoch: pick it when the caller hands in a cached
-        # FlatLists, gemm otherwise (tile for degenerate groups).
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if flat is not None else "gemm"
+    mode = resolve_eval_mode(mode, groups, amortized=flat is not None)
     if mode not in ("tile", "gemm", "flat"):
         raise ValueError(f"unknown eval mode {mode!r}")
 
@@ -559,4 +582,43 @@ def account_grouped_force(
         flat_launches=flat_launches,
         near_pairs_naive=near_pairs_naive,
         near_pairs_evaluated=near_pairs_evaluated,
+    )
+
+
+def account_lockstep_force(
+    counters: Counters,
+    steps: np.ndarray,
+    interactions: int,
+    *,
+    dim: int,
+    simt_width: int,
+    visit_bytes: float,
+    flops_per_visit: float,
+    quad_terms: int = 0,
+) -> None:
+    """Charge a per-body lockstep walk, with exact warp divergence.
+
+    *steps* holds every body's walk length; a warp pays for its longest
+    lane.  *visit_bytes* / *flops_per_visit* are the tree's
+    :class:`TreeView` constants.
+    """
+    total = float(steps.sum())
+    n = steps.shape[0]
+    pad = (-n) % simt_width
+    warps = np.pad(steps, (0, pad)).reshape(-1, simt_width)
+    warp_total = float(warps.max(axis=1).sum() * simt_width)
+    counters.add(
+        flops=(interactions * FLOPS_PER_INTERACTION + total * flops_per_visit
+               + quad_terms * QUAD_EXTRA_FLOPS),
+        special_flops=interactions * SPECIAL_PER_INTERACTION,
+        bytes_irregular=total * visit_bytes + quad_terms * QUAD_EXTRA_BYTES,
+        bytes_read=(total * visit_bytes + n * dim * 8.0
+                    + quad_terms * QUAD_EXTRA_BYTES),
+        bytes_written=n * dim * 8.0,
+        traversal_steps=total,
+        traversal_steps_max=float(steps.max(initial=0)),
+        warp_traversal_steps=warp_total,
+        mac_evals=total,  # every visit tests the MAC once
+        loop_iterations=float(n),
+        kernel_launches=1.0,
     )

@@ -21,6 +21,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.io import load_checkpoint, load_snapshot, save_checkpoint
+from repro.stdpar.context import ExecutionContext
 from repro.workloads import galaxy_collision, plummer_sphere
 
 N = 128
@@ -32,17 +33,21 @@ def _system(n=N):
     return plummer_sphere(n, seed=42)
 
 
+def _ctx(backend):
+    return None if backend is None else ExecutionContext(backend=backend)
+
+
 def _round_trip(tmp_path, cfg_kw, *, n=N, total=TOTAL, split=SPLIT,
-                make=_system):
+                make=_system, backend=None):
     """Uninterrupted run vs run->suspend->resume->run; returns both."""
-    ref = Simulation(make(n), SimulationConfig(**cfg_kw))
+    ref = Simulation(make(n), SimulationConfig(**cfg_kw), ctx=_ctx(backend))
     ref.run(total)
 
-    sim = Simulation(make(n), SimulationConfig(**cfg_kw))
+    sim = Simulation(make(n), SimulationConfig(**cfg_kw), ctx=_ctx(backend))
     sim.run(split)
     path = tmp_path / "mid.npz"
     save_checkpoint(path, sim)
-    resumed = load_checkpoint(path)
+    resumed = load_checkpoint(path, ctx=_ctx(backend))
     resumed.run(total - split)
     return ref, resumed
 
@@ -118,9 +123,30 @@ class TestRefitMidEpoch:
              traversal="dual", group_size=16),
         dict(algorithm="octree", tree_update="refit",
              traversal="dual", group_size=16),
+        dict(algorithm="octree-2stage", tree_update="refit",
+             traversal="grouped", group_size=16),
+        dict(algorithm="octree-2stage", tree_update="refit",
+             traversal="dual", group_size=16),
+        # ranks=2: the distributed epoch (membership, per-rank trees,
+        # LET plans) must survive the suspend, or the resume rebuilds.
+        dict(algorithm="bvh", tree_update="refit", ranks=2,
+             traversal="grouped", group_size=16),
+        dict(algorithm="octree", tree_update="refit", ranks=2,
+             traversal="grouped", group_size=16),
+        dict(algorithm="bvh", tree_update="refit", ranks=2,
+             traversal="dual", group_size=16),
     ])
     def test_bit_exact(self, tmp_path, cfg_kw):
         ref, resumed = _round_trip(tmp_path, cfg_kw)
+        _assert_bitwise(ref, resumed)
+
+    def test_bit_exact_reference_backend(self, tmp_path):
+        """Replay refreshes moments through the algorithm's own hook —
+        the reference backend's concurrent multipoles, here."""
+        ref, resumed = _round_trip(
+            tmp_path, dict(algorithm="octree", tree_update="refit",
+                           traversal="grouped", group_size=16),
+            n=64, backend="reference")
         _assert_bitwise(ref, resumed)
 
     def test_counters_and_budget_survive(self, tmp_path):

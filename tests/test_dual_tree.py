@@ -25,25 +25,18 @@ import numpy as np
 import pytest
 
 from repro.bvh.build import build_bvh
-from repro.bvh.force import (
-    _bvh_tree_view,
-    bvh_accelerations_dual,
-    bvh_accelerations_grouped,
-)
+from repro.bvh.force import bvh_tree_view
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.force import (
-    octree_accelerations_dual,
-    octree_accelerations_grouped,
-)
+from repro.octree.force import octree_tree_view
 from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.accuracy import relative_l2_error
 from repro.physics.bodies import BodySystem
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.stdpar.context import ExecutionContext
-from repro.traversal import make_groups
+from repro.traversal import make_groups, tree_accelerations
 from repro.traversal.dual import (
     build_dual_lists,
     build_target_tree,
@@ -70,9 +63,11 @@ def _octree(x, m, *, order=1, bits=None):
 
 def _dual_vs_grouped_bvh(system, theta, **dual_kw):
     bvh = build_bvh(system.x, system.m)
-    g = bvh_accelerations_grouped(bvh, PARAMS, theta=theta, group_size=16)
-    d = bvh_accelerations_dual(bvh, PARAMS, theta=theta, group_size=16,
-                               **dual_kw)
+    g = tree_accelerations(bvh_tree_view(bvh), system.x, system.m, PARAMS,
+                           theta=theta, group_size=16)
+    d = tree_accelerations(bvh_tree_view(bvh), system.x, system.m, PARAMS,
+                           traversal="dual", theta=theta, group_size=16,
+                           **dual_kw)
     return g, d
 
 
@@ -88,18 +83,19 @@ class TestExactFallback:
     @pytest.mark.parametrize("theta", THETAS)
     def test_octree_bit_identical(self, small_cloud, theta):
         pool = _octree(small_cloud.x, small_cloud.m)
-        g = octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                         PARAMS, theta=theta, group_size=16)
-        d = octree_accelerations_dual(pool, small_cloud.x, small_cloud.m,
-                                      PARAMS, theta=theta, group_size=16,
-                                      cc_mac=0.0)
+        g = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                               small_cloud.m, PARAMS, theta=theta,
+                               group_size=16)
+        d = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                               small_cloud.m, PARAMS, traversal="dual",
+                               theta=theta, group_size=16, cc_mac=0.0)
         assert np.array_equal(g, d)
 
     def test_near_lists_identical(self, small_cloud):
         """List-level check: the degenerate dual walk emits the grouped
         walk's CSR verbatim (same nodes, same order, same buckets)."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
-        view = _bvh_tree_view(bvh)
+        view = bvh_tree_view(bvh)
         groups = make_groups(bvh.x_sorted, 16)
         ref = build_interaction_lists(view, groups, 0.5)
         dual = build_dual_lists(view, build_target_tree(groups), 0.5,
@@ -144,10 +140,10 @@ class TestAccuracy:
         s = plummer_sphere(900, seed=5)
         pool = _octree(s.x, s.m)
         ref = pairwise_accelerations(s.x, s.m, PARAMS)
-        g = octree_accelerations_grouped(pool, s.x, s.m, PARAMS,
-                                         theta=theta, group_size=16)
-        d = octree_accelerations_dual(pool, s.x, s.m, PARAMS,
-                                      theta=theta, group_size=16)
+        g = tree_accelerations(octree_tree_view(pool), s.x, s.m, PARAMS,
+                               theta=theta, group_size=16)
+        d = tree_accelerations(octree_tree_view(pool), s.x, s.m, PARAMS,
+                               traversal="dual", theta=theta, group_size=16)
         assert (relative_l2_error(d, ref)
                 <= max(3.0 * relative_l2_error(g, ref), 1e-9))
 
@@ -166,7 +162,7 @@ class TestAccuracy:
         """Defaults must exercise the far-field branch, not vacuously
         pass by never accepting a cell-cell pair."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
-        view = _bvh_tree_view(bvh)
+        view = bvh_tree_view(bvh)
         groups = make_groups(bvh.x_sorted, 16)
         dual = build_dual_lists(view, build_target_tree(groups), 0.5,
                                 cc_mac=1.5)
@@ -205,8 +201,9 @@ class TestCountersAndCache:
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
         ctx = ExecutionContext()
-        bvh_accelerations_dual(bvh, PARAMS, theta=0.5, group_size=16,
-                               ctx=ctx, cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           PARAMS, traversal="dual", theta=0.5, group_size=16,
+                           ctx=ctx, cache=cache)
         c = ctx.counters
         assert c.mac_evals > 0
         assert c.pairs_accepted_cc > 0
@@ -214,8 +211,9 @@ class TestCountersAndCache:
         assert c.list_build_steps > 0
 
         cached_ctx = ExecutionContext()
-        bvh_accelerations_dual(bvh, PARAMS, theta=0.5, group_size=16,
-                               ctx=cached_ctx, cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           PARAMS, traversal="dual", theta=0.5, group_size=16,
+                           ctx=cached_ctx, cache=cache)
         cc = cached_ctx.counters
         # walk work is build-only; far/near interaction work recurs
         assert cc.mac_evals == 0
@@ -226,10 +224,12 @@ class TestCountersAndCache:
     def test_cache_key_includes_dual_knobs(self, small_cloud):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
-        bvh_accelerations_dual(bvh, PARAMS, theta=0.5, group_size=8,
-                               cc_mac=1.5, expansion_order=2, cache=cache)
-        bvh_accelerations_dual(bvh, PARAMS, theta=0.5, group_size=8,
-                               cc_mac=1.0, expansion_order=2, cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           PARAMS, traversal="dual", theta=0.5, group_size=8,
+                           cc_mac=1.5, expansion_order=2, cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           PARAMS, traversal="dual", theta=0.5, group_size=8,
+                           cc_mac=1.0, expansion_order=2, cache=cache)
         keys = [k for k in cache if k[0] == "dlists"]
         assert ("dlists", 0.5, 8, 1.5, 2) in keys
         assert ("dlists", 0.5, 8, 1.0, 2) in keys
@@ -237,8 +237,8 @@ class TestCountersAndCache:
     def test_grouped_mode_charges_no_cc_pairs(self, small_cloud):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         ctx = ExecutionContext()
-        bvh_accelerations_grouped(bvh, PARAMS, theta=0.5, group_size=16,
-                                  ctx=ctx)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           PARAMS, theta=0.5, group_size=16, ctx=ctx)
         assert ctx.counters.mac_evals > 0
         assert ctx.counters.pairs_deferred > 0
         assert ctx.counters.pairs_accepted_cc == 0
@@ -325,7 +325,7 @@ class TestRefitComposition:
         """The drift gate accepts zero drift and rejects drift beyond
         the margin."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
-        view = _bvh_tree_view(bvh)
+        view = bvh_tree_view(bvh)
         groups = make_groups(bvh.x_sorted, 16)
         tt = build_target_tree(groups)
         dual = build_dual_lists(view, tt, 0.5, cc_mac=1.5, mac_margin=0.05)

@@ -15,16 +15,21 @@ import numpy as np
 import pytest
 
 from repro.bvh.build import build_bvh
-from repro.bvh.force import bvh_accelerations_grouped, bvh_tree_view
+from repro.bvh.force import bvh_tree_view
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.force import octree_accelerations_grouped
+from repro.octree.force import octree_tree_view
 from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.accuracy import relative_l2_error
 from repro.physics.bodies import BodySystem
 from repro.physics.gravity import GravityParams
-from repro.traversal import build_flat_lists, evaluate_flat, make_groups
+from repro.traversal import (
+    build_flat_lists,
+    evaluate_flat,
+    make_groups,
+    tree_accelerations,
+)
 from repro.traversal.engine import build_interaction_lists
 from repro.traversal.flat import Segments
 from repro.workloads import galaxy_collision
@@ -50,22 +55,22 @@ class TestFlatMatchesTile:
     @pytest.mark.parametrize("theta", [0.3, 0.7])
     def test_bvh(self, small_cloud, soft_gravity, theta):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
-        tile = bvh_accelerations_grouped(bvh, soft_gravity, theta=theta,
-                                         group_size=16, eval_mode="tile")
-        flat = bvh_accelerations_grouped(bvh, soft_gravity, theta=theta,
-                                         group_size=16, eval_mode="flat")
+        tile = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, theta=theta,
+                                  group_size=16, eval_mode="tile")
+        flat = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, theta=theta,
+                                  group_size=16, eval_mode="flat")
         assert relative_l2_error(flat, tile) < RTOL
 
     @pytest.mark.parametrize("theta", [0.3, 0.7])
     def test_octree(self, small_cloud, soft_gravity, theta):
         pool = _octree(small_cloud.x, small_cloud.m)
         kw = dict(params=soft_gravity, theta=theta, group_size=16)
-        tile = octree_accelerations_grouped(pool, small_cloud.x,
-                                            small_cloud.m, eval_mode="tile",
-                                            **kw)
-        flat = octree_accelerations_grouped(pool, small_cloud.x,
-                                            small_cloud.m, eval_mode="flat",
-                                            **kw)
+        tile = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                                  small_cloud.m, eval_mode="tile", **kw)
+        flat = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                                  small_cloud.m, eval_mode="flat", **kw)
         assert relative_l2_error(flat, tile) < RTOL
 
     def test_octree_bucket_leaves(self, soft_gravity):
@@ -76,18 +81,22 @@ class TestFlatMatchesTile:
         m = rng.random(x.shape[0]) + 0.1
         pool = _octree(x, m, bits=3)
         kw = dict(params=soft_gravity, theta=0.5, group_size=8)
-        tile = octree_accelerations_grouped(pool, x, m, eval_mode="tile", **kw)
-        flat = octree_accelerations_grouped(pool, x, m, eval_mode="flat", **kw)
+        tile = tree_accelerations(octree_tree_view(pool), x, m,
+                                  eval_mode="tile", **kw)
+        flat = tree_accelerations(octree_tree_view(pool), x, m,
+                                  eval_mode="flat", **kw)
         assert relative_l2_error(flat, tile) < RTOL
 
     def test_quadrupole_streaming_path(self, small_cloud, soft_gravity):
         """Order-2 moments disable dense batching; the streaming node
         kernel with its quadrupole sub-gather must still match tile."""
         bvh = build_bvh(small_cloud.x, small_cloud.m, order=2)
-        tile = bvh_accelerations_grouped(bvh, soft_gravity, theta=0.6,
-                                         group_size=16, eval_mode="tile")
-        flat = bvh_accelerations_grouped(bvh, soft_gravity, theta=0.6,
-                                         group_size=16, eval_mode="flat")
+        tile = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, theta=0.6,
+                                  group_size=16, eval_mode="tile")
+        flat = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, theta=0.6,
+                                  group_size=16, eval_mode="flat")
         assert relative_l2_error(flat, tile) < RTOL
         view = bvh_tree_view(bvh)
         groups = make_groups(bvh.x_sorted, 16)
@@ -99,20 +108,24 @@ class TestFlatMatchesTile:
         """Unsoftened gravity: self pairs are excluded, not clamped."""
         params = GravityParams(G=1.0, softening=0.0)
         bvh = build_bvh(small_cloud.x, small_cloud.m)
-        tile = bvh_accelerations_grouped(bvh, params, group_size=16,
-                                         eval_mode="tile")
-        flat = bvh_accelerations_grouped(bvh, params, group_size=16,
-                                         eval_mode="flat")
+        tile = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, params, group_size=16,
+                                  eval_mode="tile")
+        flat = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, params, group_size=16,
+                                  eval_mode="flat")
         assert np.all(np.isfinite(flat))
         assert relative_l2_error(flat, tile) < RTOL
 
     def test_group_size_one(self, small_cloud, soft_gravity):
         """Degenerate groups: every near pair is a single body pair."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
-        tile = bvh_accelerations_grouped(bvh, soft_gravity, group_size=1,
-                                         eval_mode="tile")
-        flat = bvh_accelerations_grouped(bvh, soft_gravity, group_size=1,
-                                         eval_mode="flat")
+        tile = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, group_size=1,
+                                  eval_mode="tile")
+        flat = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, group_size=1,
+                                  eval_mode="flat")
         assert relative_l2_error(flat, tile) < RTOL
 
     def test_auto_mode_selection(self, small_cloud, soft_gravity):
@@ -120,22 +133,28 @@ class TestFlatMatchesTile:
         groups, gemm for uncached one-shot calls."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
-        auto = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                         eval_mode="auto", cache=cache)
+        auto = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, group_size=16,
+                                  eval_mode="auto", cache=cache)
         (entry,) = cache.values()
         assert "flat" in entry  # cached multi-body groups pick flat
-        flat = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                         eval_mode="flat")
+        flat = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, group_size=16,
+                                  eval_mode="flat")
         assert np.array_equal(auto, flat)
-        uncached = bvh_accelerations_grouped(bvh, soft_gravity,
-                                             group_size=16, eval_mode="auto")
-        gemm = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                         eval_mode="gemm")
+        uncached = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                      small_cloud.m, soft_gravity,
+                                      group_size=16, eval_mode="auto")
+        gemm = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, group_size=16,
+                                  eval_mode="gemm")
         assert np.array_equal(uncached, gemm)
-        auto1 = bvh_accelerations_grouped(bvh, soft_gravity, group_size=1,
-                                          eval_mode="auto")
-        tile1 = bvh_accelerations_grouped(bvh, soft_gravity, group_size=1,
-                                          eval_mode="tile")
+        auto1 = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                   small_cloud.m, soft_gravity, group_size=1,
+                                   eval_mode="auto")
+        tile1 = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                   small_cloud.m, soft_gravity, group_size=1,
+                                   eval_mode="tile")
         assert np.array_equal(auto1, tile1)
 
 
@@ -193,12 +212,14 @@ class TestStructureCache:
     def test_flat_lists_cached_and_reused(self, small_cloud, soft_gravity):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
-        a1 = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                       eval_mode="flat", cache=cache)
+        a1 = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                small_cloud.m, soft_gravity, group_size=16,
+                                eval_mode="flat", cache=cache)
         (entry,) = cache.values()
         first = entry["flat"]
-        a2 = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                       eval_mode="flat", cache=cache)
+        a2 = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                small_cloud.m, soft_gravity, group_size=16,
+                                eval_mode="flat", cache=cache)
         assert entry["flat"] is first  # no per-step rebuild
         assert np.array_equal(a1, a2)
 
@@ -207,13 +228,15 @@ class TestStructureCache:
         entry dict must trigger a flat rebuild, not a stale reuse."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
-        bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                  eval_mode="flat", cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           soft_gravity, group_size=16, eval_mode="flat",
+                           cache=cache)
         (entry,) = cache.values()
         first = entry["flat"]
         cache.clear()  # what _store_structure does on rebuild
-        bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                  eval_mode="flat", cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           soft_gravity, group_size=16, eval_mode="flat",
+                           cache=cache)
         (entry2,) = cache.values()
         assert entry2["flat"] is not first
 

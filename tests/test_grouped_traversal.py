@@ -19,11 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bvh.build import build_bvh
-from repro.bvh.force import (
-    _bvh_tree_view,
-    bvh_accelerations,
-    bvh_accelerations_grouped,
-)
+from repro.bvh.force import bvh_accelerations, bvh_tree_view
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
@@ -31,18 +27,18 @@ from repro.machine.catalog import get_device
 from repro.machine.costmodel import CostModel
 from repro.machine.counters import Counters
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.force import (
-    _hilbert_body_order,
-    _octree_tree_view,
-    octree_accelerations,
-    octree_accelerations_grouped,
-)
+from repro.octree.force import octree_accelerations, octree_tree_view
 from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.accuracy import relative_l2_error
 from repro.physics.bodies import BodySystem
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.stdpar.context import ExecutionContext
-from repro.traversal import build_interaction_lists, make_groups
+from repro.traversal import (
+    build_interaction_lists,
+    hilbert_body_order,
+    make_groups,
+    tree_accelerations,
+)
 from repro.workloads import galaxy_collision
 
 THETAS = [0.25, 0.5, 1.0]
@@ -97,26 +93,26 @@ class TestBitExactAtGroupSizeOne:
         pool = _octree(small_cloud)
         a = octree_accelerations(pool, small_cloud.x, small_cloud.m,
                                  soft_gravity, theta=theta)
-        b = octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                         soft_gravity, theta=theta,
-                                         group_size=1)
+        b = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                               small_cloud.m, soft_gravity, theta=theta,
+                               group_size=1)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_bvh(self, small_cloud, soft_gravity, theta):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         a = bvh_accelerations(bvh, soft_gravity, theta=theta)
-        b = bvh_accelerations_grouped(bvh, soft_gravity, theta=theta,
-                                      group_size=1)
+        b = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                               small_cloud.m, soft_gravity, theta=theta,
+                               group_size=1)
         assert np.array_equal(a, b)
 
     def test_octree_2d(self, cloud_2d, soft_gravity):
         pool = _octree(cloud_2d)
         a = octree_accelerations(pool, cloud_2d.x, cloud_2d.m,
                                  soft_gravity, theta=0.5)
-        b = octree_accelerations_grouped(pool, cloud_2d.x, cloud_2d.m,
-                                         soft_gravity, theta=0.5,
-                                         group_size=1)
+        b = tree_accelerations(octree_tree_view(pool), cloud_2d.x, cloud_2d.m,
+                               soft_gravity, theta=0.5, group_size=1)
         assert np.array_equal(a, b)
 
     def test_octree_bucket_leaves(self, soft_gravity):
@@ -128,9 +124,8 @@ class TestBitExactAtGroupSizeOne:
         pool = build_octree_vectorized(x, bits=3)
         compute_multipoles_vectorized(pool, x, m, None)
         a = octree_accelerations(pool, x, m, soft_gravity, theta=0.5)
-        b = octree_accelerations_grouped(x=x, m=m, pool=pool,
-                                         params=soft_gravity, theta=0.5,
-                                         group_size=1)
+        b = tree_accelerations(octree_tree_view(pool), x, m, soft_gravity,
+                               theta=0.5, group_size=1)
         assert np.array_equal(a, b)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 120),
@@ -141,8 +136,8 @@ class TestBitExactAtGroupSizeOne:
         params = GravityParams(softening=1e-3)
         pool = _octree(s, bits=12)
         a = octree_accelerations(pool, s.x, s.m, params, theta=theta)
-        b = octree_accelerations_grouped(pool, s.x, s.m, params,
-                                         theta=theta, group_size=1)
+        b = tree_accelerations(octree_tree_view(pool), s.x, s.m, params,
+                               theta=theta, group_size=1)
         assert np.array_equal(a, b)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 120),
@@ -153,7 +148,8 @@ class TestBitExactAtGroupSizeOne:
         params = GravityParams(softening=1e-3)
         bvh = build_bvh(s.x, s.m)
         a = bvh_accelerations(bvh, params, theta=theta)
-        b = bvh_accelerations_grouped(bvh, params, theta=theta, group_size=1)
+        b = tree_accelerations(bvh_tree_view(bvh), s.x, s.m, params,
+                               theta=theta, group_size=1)
         assert np.array_equal(a, b)
 
 
@@ -165,9 +161,9 @@ class TestAccuracy:
     def test_octree_within_bound(self, small_cloud, soft_gravity,
                                  theta, group_size):
         pool = _octree(small_cloud)
-        acc = octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                           soft_gravity, theta=theta,
-                                           group_size=group_size)
+        acc = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                                 small_cloud.m, soft_gravity, theta=theta,
+                                 group_size=group_size)
         ref = pairwise_accelerations(small_cloud.x, small_cloud.m,
                                      soft_gravity)
         assert np.abs(acc - ref).max() / np.abs(ref).max() < 0.12 * theta + 1e-9
@@ -177,8 +173,9 @@ class TestAccuracy:
     def test_bvh_within_bound(self, small_cloud, soft_gravity,
                               theta, group_size):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
-        acc = bvh_accelerations_grouped(bvh, soft_gravity, theta=theta,
-                                        group_size=group_size)
+        acc = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                 small_cloud.m, soft_gravity, theta=theta,
+                                 group_size=group_size)
         ref = pairwise_accelerations(small_cloud.x, small_cloud.m,
                                      soft_gravity)
         assert np.abs(acc - ref).max() / np.abs(ref).max() < 0.25 * theta
@@ -190,9 +187,9 @@ class TestAccuracy:
                                      soft_gravity)
         lock = octree_accelerations(pool, small_cloud.x, small_cloud.m,
                                     soft_gravity, theta=0.5)
-        grp = octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                           soft_gravity, theta=0.5,
-                                           group_size=16)
+        grp = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                                 small_cloud.m, soft_gravity, theta=0.5,
+                                 group_size=16)
         assert (relative_l2_error(grp, ref)
                 <= relative_l2_error(lock, ref) + 1e-12)
 
@@ -201,8 +198,8 @@ class TestAccuracy:
         member — the structural fact behind the error-bound claims."""
         theta = 0.5
         pool = _octree(small_cloud)
-        view = _octree_tree_view(pool)
-        perm = _hilbert_body_order(small_cloud.x, pool.box)
+        view = octree_tree_view(pool)
+        perm = hilbert_body_order(small_cloud.x, pool.box)
         xs = small_cloud.x[perm]
         groups = make_groups(xs, 16)
         lists = build_interaction_lists(view, groups, theta)
@@ -220,16 +217,18 @@ class TestAccuracy:
         pool = _octree(small_cloud)
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         for tile, gemm in [
-            (octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                          soft_gravity, group_size=16,
-                                          eval_mode="tile"),
-             octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                          soft_gravity, group_size=16,
-                                          eval_mode="gemm")),
-            (bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                       eval_mode="tile"),
-             bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                       eval_mode="gemm")),
+            (tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                                small_cloud.m, soft_gravity, group_size=16,
+                                eval_mode="tile"),
+             tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                                small_cloud.m, soft_gravity, group_size=16,
+                                eval_mode="gemm")),
+            (tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                small_cloud.m, soft_gravity, group_size=16,
+                                eval_mode="tile"),
+             tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                small_cloud.m, soft_gravity, group_size=16,
+                                eval_mode="gemm")),
         ]:
             assert np.allclose(tile, gemm, rtol=1e-9, atol=1e-11)
 
@@ -238,14 +237,15 @@ class TestAccuracy:
         pool = _octree(small_cloud, order=2)
         lock = octree_accelerations(pool, small_cloud.x, small_cloud.m,
                                     soft_gravity, theta=0.5)
-        grp1 = octree_accelerations_grouped(pool, small_cloud.x,
-                                            small_cloud.m, soft_gravity,
-                                            theta=0.5, group_size=1)
+        grp1 = tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                                  small_cloud.m, soft_gravity, theta=0.5,
+                                  group_size=1)
         assert np.allclose(grp1, lock, rtol=1e-12, atol=1e-14)
         bvh = build_bvh(small_cloud.x, small_cloud.m, order=2)
         lockb = bvh_accelerations(bvh, soft_gravity, theta=0.5)
-        grpb = bvh_accelerations_grouped(bvh, soft_gravity, theta=0.5,
-                                         group_size=16)
+        grpb = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
+                                  small_cloud.m, soft_gravity, theta=0.5,
+                                  group_size=16)
         ref = pairwise_accelerations(small_cloud.x, small_cloud.m,
                                      soft_gravity)
         assert relative_l2_error(grpb, ref) < 0.25 * 0.5
@@ -317,9 +317,9 @@ class TestCounters:
         pool = _octree(small_cloud)
         cache: dict = {}
         ctx = ExecutionContext()
-        octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                     soft_gravity, theta=0.5, group_size=16,
-                                     ctx=ctx, cache=cache)
+        tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                           small_cloud.m, soft_gravity, theta=0.5,
+                           group_size=16, ctx=ctx, cache=cache)
         c = ctx.counters
         assert c.list_build_steps > 0
         assert c.interaction_list_size > 0
@@ -329,9 +329,9 @@ class TestCounters:
         assert c.kernel_launches == 2.0
 
         cached_ctx = ExecutionContext()
-        octree_accelerations_grouped(pool, small_cloud.x, small_cloud.m,
-                                     soft_gravity, theta=0.5, group_size=16,
-                                     ctx=cached_ctx, cache=cache)
+        tree_accelerations(octree_tree_view(pool), small_cloud.x,
+                           small_cloud.m, soft_gravity, theta=0.5,
+                           group_size=16, ctx=cached_ctx, cache=cache)
         cc = cached_ctx.counters
         assert cc.list_build_steps == 0
         assert cc.interaction_list_size == c.interaction_list_size
@@ -341,12 +341,12 @@ class TestCounters:
     def test_cache_entry_reused_object(self, small_cloud, soft_gravity):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
-        bvh_accelerations_grouped(bvh, soft_gravity, group_size=8,
-                                  cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           soft_gravity, group_size=8, cache=cache)
         key = ("ilists", 0.5, 8)
         lists = cache[key]["lists"]
-        bvh_accelerations_grouped(bvh, soft_gravity, group_size=8,
-                                  cache=cache)
+        tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                           soft_gravity, group_size=8, cache=cache)
         assert cache[key]["lists"] is lists
 
     def test_costmodel_charges_list_roundtrip(self):

@@ -213,14 +213,15 @@ class TestGroupedListCache:
         """At build time (no drift) the superset property is exact."""
         from repro.octree.build_vectorized import build_octree_vectorized
         from repro.octree.multipoles import compute_multipoles_vectorized
-        from repro.octree.force import octree_accelerations_grouped, octree_tree_view
+        from repro.octree.force import octree_tree_view
+        from repro.traversal import tree_accelerations
 
         s = galaxy_collision(300, seed=3)
         pool = build_octree_vectorized(s.x)
         compute_multipoles_vectorized(pool, s.x, s.m, None)
         entry: dict = {}
-        octree_accelerations_grouped(pool, s.x, s.m, PARAMS, theta=THETA,
-                                     group_size=GROUP_SIZE, cache=entry)
+        tree_accelerations(octree_tree_view(pool), s.x, s.m, PARAMS,
+                           theta=THETA, group_size=GROUP_SIZE, cache=entry)
         cached = entry[self.ILIST_KEY]
         _assert_superset_mac(octree_tree_view(pool), cached["lists"],
                              cached["groups"], s.x[cached["perm"]], slack=1.0)
