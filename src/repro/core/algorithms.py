@@ -64,8 +64,10 @@ class ForceAlgorithm(ABC):
         """Accelerations of all bodies at the current positions.
 
         *cache*, when provided by the caller (one dict per simulation),
-        lets tree algorithms reuse structure across timesteps
-        (``config.tree_reuse_steps``); stateless algorithms ignore it.
+        holds what tree algorithms keep across timesteps (the
+        :class:`~repro.maintenance.TreeMaintainer`, or a shared
+        structure cache under ``"_shared"``); stateless algorithms
+        ignore it.
         """
 
     # ------------------------------------------------------------------
@@ -309,36 +311,35 @@ class TreeAlgorithm(ForceAlgorithm):
                 f"forward progress; device {ctx.device.name!r} provides only "
                 f"{ctx.device.progress.name} (paper Section V-B: hangs)"
             )
-        hooks = self.hooks
-        maint = None
-        if config.tree_update != "rebuild":
-            from repro.maintenance.maintainer import get_maintainer
+        from repro.maintenance.maintainer import get_maintainer
 
-            maint = get_maintainer(cache, config, ctx)
+        hooks = self.hooks
+        maint = get_maintainer(cache, config, ctx)
+        if maint is not None:
             tree = hooks.maintain(maint, system, self, config, ctx)
             entry = maint.entry
         else:
-            entry = _cache_entry(cache, self.name, config, system, ctx)
+            # Rebuild every evaluation.  A shared structure cache serves
+            # entries built at bit-identical (x, m), force-ready tree
+            # included; otherwise the entry lives for this call only.
+            shared = cache.get("_shared") if cache is not None else None
+            entry = (shared.lookup(self.name, config, system, ctx=ctx)
+                     if shared is not None else None)
             if entry is None:
                 box = self._bounding_box(system, ctx)
                 with ctx.step(hooks.build_step):
                     structure = hooks.build(system.x, box, config, ctx)
-                entry = _store_structure(cache, self.name, structure, config,
-                                         system)
-            else:
-                structure = entry["structure"]
-            # Content-addressed shared entries were built at bit-identical
-            # (x, m): their force-ready tree is reusable outright.  Plain
-            # reuse entries age across drifting positions and must
-            # refresh moments every step.
-            exact = entry is not None and bool(entry.get("exact"))
-            tree = entry.get("tree") if exact else None
-            if tree is None:
+                entry = (shared.store(self.name, config, system, structure)
+                         if shared is not None else None)
                 with ctx.step(hooks.moments_step):
                     tree = hooks.moments(structure, system.x, system.m,
                                          config, ctx)
-                if exact:
+                if entry is not None:
                     entry["tree"] = tree
+                elif cache is not None:
+                    entry = {}
+            else:
+                tree = entry["tree"]
         with ctx.step("force"):
             acc = self.force(tree, system.x, system.m, config, ctx,
                              cache=entry,
@@ -366,65 +367,6 @@ class TreeAlgorithm(ForceAlgorithm):
             ctx=ctx, simt_width=config.simt_width, cache=cache,
             eval_mode=config.eval_mode, mac_margin=mac_margin,
         )
-
-
-def _cache_entry(
-    cache: dict | None,
-    key: str,
-    config: SimulationConfig,
-    system: BodySystem | None = None,
-    ctx: ExecutionContext | None = None,
-) -> dict | None:
-    """Return the cache entry if its tree structure is still fresh enough.
-
-    The entry dict also carries per-structure derived state (the grouped
-    traversal stores its interaction lists in it), which therefore
-    expires exactly when the structure does.
-
-    When the cache dict carries a ``"_shared"``
-    :class:`~repro.serve.cache.SharedStructureCache`, lookups are
-    content-addressed instead: the entry is served only on an exact
-    (config fingerprint, position/mass digest) match, so sessions of
-    identical tenants share structures and lists without any aging.
-    """
-    if cache is None:
-        return None
-    shared = cache.get("_shared")
-    if shared is not None and system is not None:
-        entry = shared.lookup(key, config, system, ctx=ctx)
-        if entry is not None or shared.supports(config):
-            return entry
-    if config.tree_reuse_steps <= 1:
-        return None
-    entry = cache.get(key)
-    if entry is None or entry["age"] >= config.tree_reuse_steps:
-        return None
-    entry["age"] += 1
-    return entry
-
-
-def _store_structure(
-    cache: dict | None,
-    key: str,
-    structure,
-    config: SimulationConfig | None = None,
-    system: BodySystem | None = None,
-) -> dict | None:
-    if cache is None:
-        return None
-    shared = cache.get("_shared")
-    if shared is not None and system is not None and config is not None:
-        entry = shared.store(key, config, system, structure)
-        if entry is not None:
-            return entry
-    entry: dict = {"structure": structure, "age": 1}
-    if system is not None and config is not None and config.tree_reuse_steps > 1:
-        # Positions the structure was built from: the mid-epoch
-        # checkpoint path (repro.core.suspend) replays the epoch build
-        # and list construction from these to resume bit-exact.
-        entry["x_epoch"] = np.array(system.x, copy=True)
-    cache[key] = entry
-    return entry
 
 
 ALGORITHMS: dict[str, ForceAlgorithm] = {

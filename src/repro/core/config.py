@@ -47,7 +47,8 @@ class SimulationConfig:
     #: recomputing moments from current positions each step — the
     #: amortization of Iwasawa et al. [30] that the paper's related work
     #: notes "can be applied to any Barnes-Hut implementation".  1 =
-    #: rebuild every step (the paper's configuration).
+    #: rebuild every step (the paper's configuration).  Runs as the tree
+    #: maintainer's fixed-cadence policy; single-rank only.
     tree_reuse_steps: int = 1
     #: Tree maintenance across timesteps (:mod:`repro.maintenance`):
     #: ``"rebuild"`` rebuilds from scratch every step (the paper's
@@ -74,7 +75,7 @@ class SimulationConfig:
     #: walks the tree once per body (paper Fig. 3); ``"grouped"`` walks
     #: once per Hilbert-contiguous body group with a conservative group
     #: MAC, evaluates the emitted interaction lists as dense tiles, and
-    #: reuses the lists alongside the ``tree_reuse_steps`` cache;
+    #: reuses the lists for as long as the maintained tree lives;
     #: ``"dual"`` additionally organizes the groups into a target tree
     #: and retires well-separated cell-cell pairs once via
     #: multipole-to-local transfers plus an L2L/L2P downsweep
@@ -91,9 +92,11 @@ class SimulationConfig:
     #: kernels with Newton's-third-law near-field dedup —
     #: :mod:`repro.traversal.flat`), or ``"auto"`` (default: tile for
     #: one-body groups, whose contract is bit-exactness; flat for
-    #: multi-body groups when the structure cache can amortize its
-    #: per-epoch index expansion — always the case inside a
-    #: :class:`Simulation` — and gemm for uncached one-shot calls).
+    #: multi-body groups whenever the caller hands the driver an entry
+    #: dict — always the case inside a :class:`Simulation`, though a
+    #: rebuild-every-step run's entry lives for one evaluation, so its
+    #: index expansion is not amortized — and gemm for calls without
+    #: one).  EXPERIMENTS.md measures gemm against flat.
     eval_mode: str = "auto"
     #: Dual traversal only: target-side opening multiplier of the
     #: symmetric cell-cell MAC.  A pair is retired far-field when the
@@ -200,6 +203,11 @@ class SimulationConfig:
             raise ConfigurationError("rebalance_steps must be an integer >= 1")
         if not isinstance(self.ranks_per_node, int) or self.ranks_per_node < 0:
             raise ConfigurationError("ranks_per_node must be an integer >= 0")
+        if self.ranks > 1 and self.tree_reuse_steps != 1:
+            raise ConfigurationError(
+                "tree_reuse_steps > 1 requires ranks=1; the distributed "
+                "runtime keeps trees only under tree_update refit/auto"
+            )
         if self.ranks > 1 and self.algorithm not in ("octree", "bvh"):
             raise ConfigurationError(
                 "ranks > 1 requires a tree algorithm ('octree' or 'bvh'); "

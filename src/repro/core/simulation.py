@@ -84,8 +84,8 @@ class Simulation:
         self.metrics = metrics
         self.algorithm: ForceAlgorithm = get_algorithm(self.config.algorithm)
         self.last_report: StepReport | None = None
-        #: Per-simulation tree-structure cache (config.tree_reuse_steps).
-        #: An injected dict may carry a ``"_shared"``
+        #: Per-simulation cross-step state: the tree maintainer under
+        #: ``"_maintainer"``.  An injected dict may carry a ``"_shared"``
         #: :class:`~repro.serve.cache.SharedStructureCache` marker for
         #: cross-session structure sharing.
         self._tree_cache: dict = tree_cache if tree_cache is not None else {}

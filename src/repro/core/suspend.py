@@ -5,9 +5,9 @@ bit-exact resume when every step rebuilds its tree from scratch,
 because the acceleration is then a pure function of the restored state.
 It is **not** enough between list-build epochs: under
 ``tree_reuse_steps > 1`` or ``tree_update="refit"`` the next force
-evaluation reads cached structures, interaction lists, drift-budget
-counters, and adaptive MAC margins that were derived from *earlier*
-positions.  A resume that silently rebuilt them from the restored
+evaluation reads the maintainer's epoch structure, interaction lists,
+drift-budget counters, and adaptive MAC margins that were derived from
+*earlier* positions.  A resume that silently rebuilt them from the restored
 positions would change summation order — deterministic, but no longer
 the original trajectory.
 
@@ -18,22 +18,22 @@ construction-time force evaluation) reconstructs the caches by
 re-running the *identical* deterministic build code on the captured
 positions:
 
-* **plain tree reuse** — the epoch build positions (``x_epoch``) and
-  the entry age.  Restore replays one force evaluation at ``x_epoch``
-  into a fresh cache, reproducing the structure, the interaction
-  lists, and the flat expansions bit for bit, then rewinds the age by
-  one so the construction-time evaluation re-ages it to the captured
-  value.
-* **tree maintenance** (``refit``) — the epoch positions ``x_ref``,
-  the previous-step positions (drift sensing), the drift-budget
-  scalars and event counts, and per cached list its build snapshot and
-  MAC margin.  Restore replays the epoch rebuild at ``x_ref`` through
-  the algorithm's maintainer hook, refits the structure to each list's
-  snapshot through its refit hook, and re-runs the force driver with
-  the captured margin — byte-identical lists, so the validity gate
-  resumes exactly where it left off.  (``tree_update="auto"`` restores
-  the same state but its cost-learning policy restarts, so the
-  rebuild-vs-refit choices — not correctness — may differ.)
+* **tree maintenance** (``refit``, and tree reuse's fixed cadence) —
+  the epoch positions ``x_ref`` and age, the previous-step positions
+  (drift sensing), the drift-budget scalars and event counts, and per
+  cached list its build snapshot and MAC margin.  Restore replays the
+  epoch rebuild at ``x_ref`` through the algorithm's maintainer hook,
+  refits the structure to each list's snapshot through its refit hook,
+  and re-runs the force driver with the captured margin —
+  byte-identical lists, so the validity gate resumes exactly where it
+  left off.  The age is rewound by one, so the construction-time
+  evaluation re-ages the epoch to the captured value and every cadence
+  rebuild falls on the original step.  (``tree_update="auto"``
+  restores the same state but its cost-learning policy restarts, so
+  the rebuild-vs-refit choices — not correctness — may differ.)
+  Checkpoints written while tree reuse kept its own cache carry a
+  ``"reuse"`` payload instead (epoch positions ``x_epoch`` and age);
+  it replays as the maintainer epoch it equals.
 * **distributed** (``ranks > 1``) — the domain decomposition
   (order/offsets/key splits), the rebalance cadence phase, and the
   work-feedback weights.  The runtime's first evaluation after restore
@@ -63,20 +63,7 @@ RUNTIME_STATE_VERSION = 1
 def capture_runtime_state(sim) -> dict | None:
     """Replayable cross-step state of *sim*, or None when stateless."""
     state: dict = {"version": RUNTIME_STATE_VERSION}
-    cache = sim._tree_cache
-    config = sim.config
-
-    if config.tree_reuse_steps > 1:
-        # Tree algorithms cache their structure under their own name.
-        entry = cache.get(config.algorithm)
-        if entry is not None and "x_epoch" in entry:
-            state["reuse"] = {
-                "key": config.algorithm,
-                "age": int(entry["age"]),
-                "x_epoch": np.asarray(entry["x_epoch"], dtype=FLOAT),
-            }
-
-    maint = cache.get("_maintainer")
+    maint = sim._tree_cache.get("_maintainer")
     if maint is not None and maint._x_ref is not None:
         lists = []
         for key, (cached_lists, snap_x) in maint._list_state.items():
@@ -93,6 +80,7 @@ def capture_runtime_state(sim) -> dict | None:
             })
         state["maint"] = {
             "x_ref": np.asarray(maint._x_ref, dtype=FLOAT),
+            "age": int(maint._age),
             "x_prev": (None if maint._x_prev is None
                        else np.asarray(maint._x_prev, dtype=FLOAT)),
             "step_drift": float(maint._step_drift),
@@ -157,7 +145,8 @@ def apply_runtime_state(sim, state: dict) -> None:
         sim.ctx.device, backend=sim.ctx.backend, toolchain=sim.ctx.toolchain,
     )
     if "reuse" in state:
-        _restore_reuse_entry(sim, state["reuse"], scratch)
+        _restore_maintainer(sim, _maint_from_reuse(state["reuse"],
+                                                      sim.config), scratch)
     if "maint" in state:
         _restore_maintainer(sim, state["maint"], scratch)
     if "dist" in state and sim.distributed is not None:
@@ -165,24 +154,17 @@ def apply_runtime_state(sim, state: dict) -> None:
                              np.array(sim.system.m, copy=True), scratch)
 
 
-def _restore_reuse_entry(sim, reuse: dict, scratch) -> None:
-    """Replay the epoch force evaluation at ``x_epoch`` (bit-exact)."""
-    x_epoch = np.asarray(reuse["x_epoch"], dtype=FLOAT)
-    epoch_system = BodySystem(
-        x_epoch.copy(), np.zeros_like(x_epoch),
-        np.array(sim.system.m, copy=True),
-    )
-    tmp: dict = {}
-    sim.algorithm.accelerations(epoch_system, sim.config, scratch, cache=tmp)
-    entry = tmp.get(reuse["key"])
-    if entry is None:  # pragma: no cover - defensive
-        return
-    # The construction-time evaluation of the resumed simulation is one
-    # extra pass the original timeline never ran; rewinding the age by
-    # one makes it re-age the entry to the captured value, so every
-    # subsequent rebuild falls on the original step.
-    entry["age"] = max(int(reuse["age"]) - 1, 0)
-    sim._tree_cache[reuse["key"]] = entry
+def _maint_from_reuse(reuse: dict, config) -> dict:
+    """A ``"reuse"`` payload as the maintainer epoch it equals: built at
+    ``x_epoch``, its lists (if any) built there with margin 0, the same
+    age.  The cadence never gates lists and keeps its margin at 0, so
+    no drift state is needed."""
+    x_epoch = reuse["x_epoch"]
+    lists = ([] if config.traversal == "lockstep"
+             else [{"margin": 0.0, "x": x_epoch}])
+    return {"x_ref": x_epoch, "age": reuse["age"], "x_prev": None,
+            "step_drift": 0.0, "budget_abs": 0.0, "counts": {},
+            "lists": lists}
 
 
 def _restore_maintainer(sim, ms: dict, scratch) -> None:
@@ -213,6 +195,9 @@ def _restore_maintainer(sim, ms: dict, scratch) -> None:
     maint._step_drift = float(ms["step_drift"])
     maint._budget_abs = float(ms["budget_abs"])
     maint.counts.update({k: int(v) for k, v in ms["counts"].items()})
+    # Payloads written before the age was captured are refit epochs,
+    # whose decisions never read it.
+    maint._age = max(int(ms.get("age", 1)) - 1, 0)
     maint._update_margin()
     for item in ms["lists"]:
         _warm_cached_lists(sim, maint, item, m, scratch)
@@ -230,16 +215,13 @@ def _warm_cached_lists(sim, maint, item: dict, m: np.ndarray, scratch) -> None:
     therefore the same bytes — as the originals.  The evaluation
     result is discarded; the work is charged to the scratch context.
     """
-    key = tuple(item["key"])
     snap_x = np.asarray(item["x"], dtype=FLOAT)
     config = sim.config
     algo = sim.algorithm
     tree = algo.hooks.refit(maint.tree, snap_x, m, config, scratch)
     algo.force(tree, snap_x, m, config, scratch, cache=maint.entry,
                mac_margin=float(item["margin"]))
-    cached = maint.entry.get(key)
-    if cached is not None:
-        maint._list_state[key] = (cached["lists"], snap_x.copy())
+    maint.snapshot_lists(snap_x)
 
 
 def _restore_distributed(runtime, ds: dict, m: np.ndarray, scratch) -> None:

@@ -13,8 +13,9 @@ SimulationConfig` in its header, which is what makes it a *checkpoint*:
 bit for bit.  For configurations whose force evaluation carries state
 across steps (``tree_reuse_steps > 1``, ``tree_update="refit"``,
 ``ranks > 1``), the checkpoint additionally embeds the **runtime
-state** — epoch positions, cached-list build snapshots and MAC margins,
-drift-budget counters, the domain decomposition and rebalance cadence —
+state** — the tree maintainer's epoch positions and age, cached-list
+build snapshots and MAC margins, drift-budget counters, the domain
+decomposition and rebalance cadence —
 which :mod:`repro.core.suspend` replays at load so a *mid-epoch* resume
 is bit-exact too.  The extra payload rides in reserved ``rt*`` array
 slots plus a ``"runtime"`` header key; readers of plain snapshots never

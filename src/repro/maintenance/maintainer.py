@@ -19,6 +19,12 @@ Every step runs the same pipeline:
 4. after the force phase, :meth:`TreeMaintainer.finish_step` snapshots
    positions for freshly built lists and feeds the cost model's view of
    the executed step back to the auto policy.
+
+Tree reuse (``tree_reuse_steps > 1``) runs the same pipeline under the
+policy's fixed cadence: no sensing, a rebuild once the epoch has served
+its evaluations, and in between the epoch structure with moments
+refreshed at the current positions.  Its lists are never gated: they
+live for the whole epoch, built with margin 0.
 """
 
 from __future__ import annotations
@@ -50,14 +56,14 @@ _OBSERVED_STEPS = ("encode", "sort", "build_tree", "refit",
                    "multipoles", "force")
 
 
-def get_maintainer(cache: dict | None, config, ctx) -> "TreeMaintainer":
-    """The simulation's maintainer, created on first use."""
-    if cache is None:
-        return TreeMaintainer(config, ctx)
-    maint = cache.get("_maintainer")
-    if maint is None:
+def get_maintainer(cache: dict | None, config, ctx) -> "TreeMaintainer | None":
+    """The simulation's maintainer, created on first use; None when
+    *config* rebuilds every evaluation (nothing outlives a step)."""
+    maint = cache.get("_maintainer") if cache is not None else None
+    if maint is None and MaintenancePolicy.mode_for(config) != "rebuild":
         maint = TreeMaintainer(config, ctx)
-        cache["_maintainer"] = maint
+        if cache is not None:
+            cache["_maintainer"] = maint
     return maint
 
 
@@ -75,8 +81,8 @@ class TreeMaintainer:
         self.ctx = ctx
         self.keycache = KeyCache()
         self.policy = MaintenancePolicy(
-            config.tree_update, config.refit_disorder_threshold
-        )
+            MaintenancePolicy.mode_for(config),
+            config.refit_disorder_threshold, cadence=config.tree_reuse_steps)
         self._model = CostModel(ctx.device, toolchain=ctx.toolchain)
         #: Structure-cache entry dict handed to the grouped/dual force
         #: driver (it stores interaction lists in it under the
@@ -94,12 +100,12 @@ class TreeMaintainer:
         self._pool = None
         self._order: np.ndarray | None = None  # octree epoch Hilbert order
         self._x_ref: np.ndarray | None = None
+        self._age = 0  # force evaluations the epoch has served
         self._x_prev: np.ndarray | None = None
         self._step_drift = 0.0
         self._budget_abs = 0.0
         self._list_state: dict = {}  # ilists key -> (lists, x snapshot)
         self._snap: dict | None = None
-        self._last_action: str | None = None
 
     @property
     def tree(self):
@@ -113,17 +119,13 @@ class TreeMaintainer:
         config, ctx = self.config, self.ctx
         x = system.x
         n, dim = x.shape
-        self._snap = self._take_snapshot()
         bits = config.bits if config.bits is not None else default_sort_bits(dim)
         have = self._bvh is not None and self._bvh.n_bodies == n
-        decision = self._sense(
+        decision = self._decide(
             x, bits, config.curve, have,
             order=self._bvh.perm if have else None,
             box=self._bvh.box if have else None,
         )
-        self.last_decision = decision
-        self._last_action = decision.action
-        self._emit_decision(decision)
         if decision.action == "rebuild":
             box = algo._bounding_box(system, ctx)
             with ctx.step("encode"):
@@ -137,13 +139,19 @@ class TreeMaintainer:
                 self._bvh = assemble_bvh(x, system.m, perm, box, ctx=ctx,
                                          order=config.multipole_order)
             self._begin_epoch(x, box.longest_side)
-            self.counts["rebuild"] += 1
-        else:
+        elif self.policy.senses:
             with ctx.step("refit"):
                 self._bvh = refit_bvh(self._bvh, x, ctx=ctx)
                 self._gate_lists(x, kind="bvh",
                                  growth=algo.hooks.refit_growth(config.theta))
-            self.counts["refit"] += 1
+            self._keep_epoch()
+        else:
+            # Cadence: the epoch order, reassembled at the current
+            # positions by the build's own fused pass.
+            with ctx.step("build_tree"):
+                self._bvh = algo.hooks.moments(
+                    (self._bvh.perm, self._bvh.box), x, system.m, config, ctx)
+            self._keep_epoch()
         self._update_margin()
         return self._bvh
 
@@ -154,37 +162,33 @@ class TreeMaintainer:
         config, ctx = self.config, self.ctx
         x = system.x
         n, dim = x.shape
-        self._snap = self._take_snapshot()
         bits = default_sort_bits(dim)  # grouped-traversal order grid
-        have = (self._pool is not None and self._pool.n_bodies == n
-                and self._order is not None)
-        decision = self._sense(
+        have = self._pool is not None and self._pool.n_bodies == n
+        decision = self._decide(
             x, bits, "hilbert", have,
             order=self._order if have else None,
             box=self._pool.box if have else None,
         )
-        self.last_decision = decision
-        self._last_action = decision.action
-        self._emit_decision(decision)
         if decision.action == "rebuild":
             box = algo._bounding_box(system, ctx)
             with ctx.step("build_tree"):
                 self._pool = builder(box)
-            with ctx.step("encode"):
-                # Epoch reference order: the Hilbert order the grouped
-                # traversal walks in, against which later steps measure
-                # disorder.  One argsort, charged as such.
-                keys = self.keycache.keys(x, self._pool.box, bits=bits,
-                                          curve="hilbert", ctx=ctx)
-                self._order = np.argsort(keys, kind="stable")
-                ctx.counters.add(
-                    sort_comparisons=float(n) * float(np.log2(max(n, 2))),
-                    bytes_read=8.0 * n, bytes_written=8.0 * n,
-                    kernel_launches=1.0,
-                )
+            if self.policy.senses:
+                with ctx.step("encode"):
+                    # Epoch reference order: the Hilbert order the
+                    # grouped traversal walks in, against which later
+                    # steps measure disorder.  One argsort, charged as
+                    # such.
+                    keys = self.keycache.keys(x, self._pool.box, bits=bits,
+                                              curve="hilbert", ctx=ctx)
+                    self._order = np.argsort(keys, kind="stable")
+                    ctx.counters.add(
+                        sort_comparisons=float(n) * float(np.log2(max(n, 2))),
+                        bytes_read=8.0 * n, bytes_written=8.0 * n,
+                        kernel_launches=1.0,
+                    )
             self._begin_epoch(x, self._pool.root_side)
-            self.counts["rebuild"] += 1
-        else:
+        elif self.policy.senses:
             with ctx.step("refit"):
                 # Structure and leaf membership are kept; the multipole
                 # phase (which the caller runs every step regardless)
@@ -192,7 +196,11 @@ class TreeMaintainer:
                 # cached lists need revalidating here.
                 self._gate_lists(x, kind="octree",
                                  growth=algo.hooks.refit_growth(config.theta))
-            self.counts["refit"] += 1
+            self._keep_epoch()
+        else:
+            # Cadence: the cells are kept as they are; the caller's
+            # multipole phase refreshes them.
+            self._keep_epoch()
         self._update_margin()
         return self._pool
 
@@ -211,6 +219,19 @@ class TreeMaintainer:
     # ------------------------------------------------------------------
     def finish_step(self, x: np.ndarray) -> None:
         """Post-force bookkeeping: list snapshots + policy feedback."""
+        self.snapshot_lists(x)
+        if self._snap is not None:
+            secs = {
+                name: self._model.step_time(self._delta_counters(name)).total
+                for name in _OBSERVED_STEPS
+            }
+            self.policy.observe(self.last_decision.action, secs)
+        self._snap = None
+        self._x_prev = np.asarray(x, dtype=FLOAT).copy()
+
+    def snapshot_lists(self, x: np.ndarray) -> None:
+        """Record positions *x* as the build snapshot of every cached
+        list built since the last call."""
         for key, cached in self.entry.items():
             if not (isinstance(key, tuple) and key
                     and key[0] in ("ilists", "dlists")):
@@ -220,14 +241,6 @@ class TreeMaintainer:
                 self._list_state[key] = (
                     cached["lists"], np.asarray(x, dtype=FLOAT).copy()
                 )
-        if self._snap is not None and self._last_action is not None:
-            secs = {
-                name: self._model.step_time(self._delta_counters(name)).total
-                for name in _OBSERVED_STEPS
-            }
-            self.policy.observe(self._last_action, secs)
-        self._snap = None
-        self._x_prev = np.asarray(x, dtype=FLOAT).copy()
 
     # ------------------------------------------------------------------
     # Internals
@@ -239,6 +252,12 @@ class TreeMaintainer:
         )
         self.entry.clear()
         self._list_state.clear()
+        self._age = 1
+        self.counts["rebuild"] += 1
+
+    def _keep_epoch(self) -> None:
+        self._age += 1
+        self.counts["refit"] += 1
 
     def _update_margin(self) -> None:
         """Adaptive list margin: slack for ~MARGIN_STEPS steps of the
@@ -248,12 +267,21 @@ class TreeMaintainer:
         self.mac_margin = min(self._budget_abs,
                               self.MARGIN_STEPS * self._step_drift)
 
-    def _sense(self, x, bits, curve, have, *, order, box) -> Decision:
-        """Measure disorder + drift and ask the policy (``encode`` step)."""
-        if not have:
+    def _decide(self, x, bits, curve, have, *, order, box) -> Decision:
+        """This step's decision, traced and fed back when it was sensed."""
+        self._snap = self._take_snapshot() if self.policy.senses else None
+        if have and self.policy.senses:
+            decision = self._sense(x, bits, curve, order=order, box=box)
+        else:
             self._step_drift = 0.0
-            return self.policy.decide(have_structure=False, disorder=0.0,
-                                      drift=0.0, drift_ok=False)
+            decision = self.policy.decide(have_structure=have, age=self._age)
+        if self.policy.senses:
+            self._emit_decision(decision)
+        self.last_decision = decision
+        return decision
+
+    def _sense(self, x, bits, curve, *, order, box) -> Decision:
+        """Measure disorder + drift and ask the policy (``encode`` step)."""
         ctx = self.ctx
         n, dim = x.shape
         with ctx.step("encode"):

@@ -15,6 +15,12 @@ of the force time, the refit pays off while::
 The times come from the machine cost model applied to the counter
 deltas of previously executed steps on this very run, so the policy
 adapts to problem size, device, and multipole order without tuning.
+
+``tree_reuse_steps=k > 1`` under ``tree_update="rebuild"`` selects the
+fixed cadence instead: Iwasawa et al.'s tree reuse (paper Section VI),
+which rebuilds once the epoch has served *k* force evaluations and
+keeps the structure (refreshing only its moments) in between.  It
+senses nothing.
 """
 
 from __future__ import annotations
@@ -46,12 +52,27 @@ class MaintenancePolicy:
     #: claim behind the cost comparison loses meaning.
     MAX_DISORDER = 0.5
 
-    def __init__(self, mode: str, disorder_threshold: float):
+    def __init__(self, mode: str, disorder_threshold: float,
+                 cadence: int = 1):
         self.mode = mode
         self.disorder_threshold = float(disorder_threshold)
+        #: ``"cadence"`` mode: force evaluations one epoch serves.
+        self.cadence = int(cadence)
+        #: Whether decisions read the measured disorder and drift (the
+        #: cadence goes by epoch age alone).
+        self.senses = mode != "cadence"
         self.t_rebuild: float | None = None  # modeled sort+build seconds
         self.t_refit: float | None = None    # modeled refit seconds
         self.t_force: float | None = None    # modeled force seconds
+
+    @staticmethod
+    def mode_for(config) -> str:
+        """The maintenance mode *config* selects: ``"cadence"`` for tree
+        reuse, else its ``tree_update`` (``"rebuild"``: nothing is kept
+        across evaluations)."""
+        if config.tree_update == "rebuild" and config.tree_reuse_steps > 1:
+            return "cadence"
+        return config.tree_update
 
     # ------------------------------------------------------------------
     def observe(self, action: str, step_seconds: dict[str, float]) -> None:
@@ -83,12 +104,18 @@ class MaintenancePolicy:
         self,
         *,
         have_structure: bool,
-        disorder: float,
-        drift: float,
-        drift_ok: bool,
+        age: int = 0,
+        disorder: float = 0.0,
+        drift: float = 0.0,
+        drift_ok: bool = True,
     ) -> Decision:
+        """*age*: force evaluations the current epoch has served."""
         if not have_structure:
             return Decision("rebuild", "no structure", disorder, drift)
+        if self.mode == "cadence":
+            if age >= self.cadence:
+                return Decision("rebuild", "reuse window served")
+            return Decision("refit", "within the reuse window")
         if not drift_ok:
             return Decision("rebuild", "drift budget exceeded",
                             disorder, drift)

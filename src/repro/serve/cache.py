@@ -23,9 +23,10 @@ hit/miss/eviction counters for the per-tenant metrics lanes.
 
 Sharing engages only for ``tree_update="rebuild"``,
 ``tree_reuse_steps=1``, ``ranks=1`` configurations (the service-layer
-default): the per-session aging and epoch state of the other modes is
-inherently private.  Unsupported configs fall through to the ordinary
-per-session cache untouched.
+default): every other mode keeps epoch state across steps (the
+session's :class:`~repro.maintenance.TreeMaintainer` or distributed
+runtime), which is inherently private.  Unsupported configs fall
+through to the session's own state untouched.
 
 The cache plugs into :mod:`repro.core.algorithms` through the
 ``"_shared"`` marker of a simulation's tree-cache dict — see
@@ -102,11 +103,12 @@ class SharedStructureCache:
     """Content-addressed LRU cache of structure-cache entries.
 
     One instance is shared by every session the server hosts with
-    sharing enabled.  ``lookup`` returns the full entry dict (structure
-    + any interaction lists / flat expansions previous force
-    evaluations stored into it) or ``None``; ``store`` inserts a fresh
-    entry that the ongoing force evaluation then populates in place —
-    so the *lists* built this step are shared as soon as they exist.
+    sharing enabled.  ``lookup`` returns the full entry dict (structure,
+    force-ready ``"tree"``, and any interaction lists / flat expansions
+    previous force evaluations stored into it) or ``None``; ``store``
+    inserts a fresh entry that the ongoing force evaluation then
+    populates in place — so the *lists* built this step are shared as
+    soon as they exist.
     """
 
     def __init__(self, byte_budget: int = 256 * 1024 * 1024):
@@ -173,10 +175,7 @@ class SharedStructureCache:
         """Insert a fresh entry; returns it (None when unsupported)."""
         if not self.supports(config):
             return None
-        # ``exact`` tells the consuming pipeline this entry is keyed by
-        # the digest of the positions being evaluated: derived products
-        # (assembled BVH, multipole moments) may be reused outright.
-        entry = {"structure": structure, "age": 0, "exact": True}
+        entry = {"structure": structure}
         key = self._key(struct_key, config, system)
         self._entries[key] = entry
         self._entries.move_to_end(key)

@@ -347,9 +347,13 @@ def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
     """The evaluator ``eval_mode="auto"`` stands for.
 
     Tile for one-body groups, whose contract is bit-exactness with the
-    lockstep kernels; otherwise flat when its one-time index expansion
-    is *amortized* across an epoch (a structure cache holds the lists),
-    gemm for one-shot evaluations.  Explicit modes pass through.
+    lockstep kernels; otherwise flat when the caller passes an entry
+    dict (*amortized*), gemm when it passes none.  The entry amortizes
+    flat's index expansion only when it outlives the call — the
+    maintainer's epoch entry does, a rebuild-every-step run's per-call
+    entry does not, yet auto picks flat there too.  Flat wins the
+    modeled seconds through its near-field dedup, gemm the host seconds
+    (EXPERIMENTS.md).  Explicit modes pass through.
     """
     if mode != "auto":
         return mode

@@ -34,7 +34,7 @@ class TestConfigMetadata:
         cfg = SimulationConfig(
             algorithm="bvh", theta=0.7, dt=5e-4,
             gravity=GravityParams(G=2.0, softening=0.01),
-            multipole_order=2, tree_reuse_steps=4,
+            multipole_order=2, tree_update="refit",
             traversal="grouped", group_size=64,
             ranks=4, decomposition="weighted", rebalance_steps=3,
             interconnect="ib-hdr", ranks_per_node=2,

@@ -14,6 +14,7 @@ state replays every cache exactly (repro.core.suspend).
 from __future__ import annotations
 
 import io
+import pathlib
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from repro.workloads import galaxy_collision, plummer_sphere
 N = 128
 TOTAL = 11
 SPLIT = 5  # deliberately not a multiple of any epoch length below
+DATA = pathlib.Path(__file__).parent / "data"
+LEGACY_SPLIT = 4  # steps the legacy fixtures ran before the suspend
 
 
 def _system(n=N):
@@ -69,6 +72,11 @@ class TestTreeReuseMidEpoch:
              traversal="grouped", group_size=16),
         dict(algorithm="bvh", tree_reuse_steps=3,
              traversal="dual", group_size=16),
+        dict(algorithm="octree-2stage", tree_reuse_steps=3),
+        dict(algorithm="octree-2stage", tree_reuse_steps=4,
+             traversal="grouped", group_size=16),
+        dict(algorithm="octree", tree_reuse_steps=3,
+             traversal="dual", group_size=16),
     ])
     def test_bit_exact(self, tmp_path, cfg_kw):
         ref, resumed = self._run(tmp_path, cfg_kw)
@@ -99,8 +107,30 @@ class TestTreeReuseMidEpoch:
         path = tmp_path / "mid.npz"
         save_checkpoint(path, sim)
         _, header = load_snapshot(path)
-        assert "reuse" in header["runtime"]
-        assert header["runtime"]["reuse"]["age"] >= 1
+        assert "maint" in header["runtime"]
+        assert header["runtime"]["maint"]["age"] >= 1
+
+    @pytest.mark.parametrize("algorithm", ["octree", "bvh"])
+    def test_legacy_reuse_payload_resumes(self, algorithm):
+        """Checkpoints that carry tree reuse's former ``"reuse"`` payload
+        (epoch positions ``x_epoch`` and age) still resume bit-exactly.
+
+        The fixtures were written by ``save_checkpoint`` after 4 steps
+        of a Plummer N=64 (seed 42) run, grouped traversal,
+        ``group_size=16``, ``tree_reuse_steps=3`` (suspended at age 2),
+        ``dt=3e-2``: long enough steps that reuse and rebuild differ.
+        """
+        path = DATA / f"reuse_v1_{algorithm}.npz"
+        _, header = load_snapshot(path)
+        assert header["runtime"]["reuse"]["age"] == 2
+        cfg = SimulationConfig(algorithm=algorithm, tree_reuse_steps=3,
+                               traversal="grouped", group_size=16, dt=3e-2)
+        ref = Simulation(_system(64), cfg)
+        ref.run(LEGACY_SPLIT + 6)
+        resumed = load_checkpoint(path)
+        assert resumed.config == cfg
+        resumed.run(6)
+        _assert_bitwise(ref, resumed)
 
     def test_stateless_config_embeds_nothing(self, tmp_path):
         sim = Simulation(_system(), SimulationConfig(algorithm="octree"))

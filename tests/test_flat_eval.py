@@ -233,7 +233,7 @@ class TestStructureCache:
                            cache=cache)
         (entry,) = cache.values()
         first = entry["flat"]
-        cache.clear()  # what _store_structure does on rebuild
+        cache.clear()  # what the maintainer does on rebuild
         tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
                            soft_gravity, group_size=16, eval_mode="flat",
                            cache=cache)

@@ -292,9 +292,9 @@ class TestSimulationIntegration:
 
     def test_lists_cached_with_structure(self):
         _, _, sim = run_sim("octree", reuse=4)
-        entry = sim._tree_cache["octree"]
-        assert "structure" in entry and "age" in entry  # shape intact
-        assert ("ilists", 0.4, 16) in entry
+        maint = sim._tree_cache["_maintainer"]
+        assert maint.tree is not None and maint._age >= 1  # shape intact
+        assert ("ilists", 0.4, 16) in maint.entry
 
     def test_cache_reuse_skips_list_builds(self):
         _, rep1, _ = run_sim("octree", reuse=1, steps=8)

@@ -32,6 +32,13 @@ class TestConfig:
     def test_default_is_every_step(self):
         assert SimulationConfig().tree_reuse_steps == 1
 
+    @pytest.mark.parametrize("alg", ["octree", "bvh"])
+    def test_requires_single_rank(self, alg):
+        """The distributed runtime keeps no reused trees: reject the
+        combination instead of silently rebuilding every step."""
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(algorithm=alg, tree_reuse_steps=3, ranks=2)
+
 
 class TestOctreeReuse:
     def test_reuse_one_is_identical(self):
@@ -69,7 +76,7 @@ class TestOctreeReuse:
     def test_rebuild_happens_after_window(self):
         _, _, sim = run("octree", 3, steps=7)
         # 7 force evaluations at construction+steps: ages cycle 1,2,3
-        assert sim._tree_cache["octree"]["age"] <= 3
+        assert sim._tree_cache["_maintainer"]._age <= 3
 
     def test_energy_still_conserved(self):
         from repro.physics.diagnostics import energy_report
@@ -109,8 +116,8 @@ class TestBVHReuse:
         sim1.run(2)
         sim2.run(2)
         assert sim1._tree_cache is not sim2._tree_cache
-        p1 = sim1._tree_cache["bvh"]["structure"][0]
-        p2 = sim2._tree_cache["bvh"]["structure"][0]
+        p1 = sim1._tree_cache["_maintainer"].tree.perm
+        p2 = sim2._tree_cache["_maintainer"].tree.perm
         assert not np.array_equal(p1, p2)
 
 
@@ -166,7 +173,7 @@ class TestGroupedListCache:
 
     def test_lists_live_in_structure_entry(self):
         _, _, sim = grun("octree", 4)
-        entry = sim._tree_cache["octree"]
+        entry = sim._tree_cache["_maintainer"].entry
         assert self.ILIST_KEY in entry
         assert entry[self.ILIST_KEY]["lists"].theta == THETA
 
@@ -186,9 +193,9 @@ class TestGroupedListCache:
         from repro.octree.force import octree_tree_view
 
         _, _, sim = grun("octree", 8, steps=5)
-        entry = sim._tree_cache["octree"]
-        cached = entry[self.ILIST_KEY]
-        view = octree_tree_view(entry["structure"])
+        maint = sim._tree_cache["_maintainer"]
+        cached = maint.entry[self.ILIST_KEY]
+        view = octree_tree_view(maint.tree)
         x_sorted = sim.system.x[cached["perm"]]
         # Multipole COMs were refreshed at the current positions while
         # the lists are up to 5 steps stale; allow the drift slack.
@@ -200,9 +207,9 @@ class TestGroupedListCache:
         from repro.bvh.force import bvh_tree_view
 
         _, _, sim = grun("bvh", 8, steps=5)
-        entry = sim._tree_cache["bvh"]
-        cached = entry[self.ILIST_KEY]
-        perm, box = entry["structure"]
+        maint = sim._tree_cache["_maintainer"]
+        cached = maint.entry[self.ILIST_KEY]
+        perm, box = maint.tree.perm, maint.tree.box
         # The BVH is reassembled from the cached permutation at current
         # positions every step — exactly what the cached lists index.
         bvh = assemble_bvh(sim.system.x, sim.system.m, perm, box)

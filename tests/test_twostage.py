@@ -105,4 +105,4 @@ class TestAlgorithm:
                                tree_reuse_steps=4)
         sim = Simulation(s, cfg)
         rep = sim.run(8)
-        assert "octree-2stage" in sim._tree_cache
+        assert sim._tree_cache["_maintainer"].tree is not None
