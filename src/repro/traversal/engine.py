@@ -350,10 +350,12 @@ def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
     lockstep kernels; otherwise flat when the caller passes an entry
     dict (*amortized*), gemm when it passes none.  The entry amortizes
     flat's index expansion only when it outlives the call — the
-    maintainer's epoch entry does, a rebuild-every-step run's per-call
-    entry does not, yet auto picks flat there too.  Flat wins the
-    modeled seconds through its near-field dedup, gemm the host seconds
-    (EXPERIMENTS.md).  Explicit modes pass through.
+    maintainer's epoch entry does; a rebuild-every-step run's per-call
+    entry does not, so there every call pays the expansion, which is
+    built at list-entry level and costs little next to the evaluation.
+    Flat wins the modeled seconds through its near-field dedup
+    (EXPERIMENTS.md compares both clocks against gemm).  Explicit modes
+    pass through.
     """
     if mode != "auto":
         return mode

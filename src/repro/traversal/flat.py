@@ -20,15 +20,22 @@ structure-of-arrays kernels:
 
 * **Newton's third law** — direct body-body work (point leaves and,
   for the octree, bucket-leaf bodies) appears in ordered form: group
-  ``i``'s list names body ``j`` *and* group ``j``'s list names body
-  ``i``.  Each ordered pair occurs at most once (a node appears at most
-  once per group list; every body lives in exactly one leaf), so after
-  canonicalizing by ``(min, max)`` an unordered pair has multiplicity
-  one or two.  Pairs seen from both sides are evaluated once and the
-  force scatter-accumulated to *both* bodies with opposite sign —
-  halving that share of the near-field inverse-square-root work.
-  One-sided pairs (the partner was absorbed into an accepted multipole
-  on the other side) keep their original orientation.
+  ``A``'s list names body ``j`` *and* group ``B``'s list names body
+  ``i``.  Pairs seen from both sides are evaluated once and the force
+  scatter-accumulated to *both* bodies with opposite sign — halving
+  that share of the near-field inverse-square-root work.  One-sided
+  pairs (the partner was absorbed into an accepted multipole on the
+  other side) keep their original orientation.  Which pairs are
+  two-sided is decided at list-entry level, never per pair: every row
+  of group ``A`` meets exactly ``A``'s direct entries, so pair
+  ``(i, j)`` is two-sided iff the entry ``(group of j, i)`` exists.
+  The entries are sorted by ``(group, source row)`` and cut into runs
+  of one source group; each ``(row, run)`` combination is classified
+  by one ``searchsorted`` mirror lookup and expanded by range
+  concatenation, which emits both pools already in ``(target,
+  source)`` order.  Memory is O(entries + rows x runs) besides the
+  pools themselves — no pair-level sort and no dense
+  ``rows x groups`` table.
 
 * **Scatter determinism** — the target-side reduction uses
   ``np.add.reduceat`` over row-sorted segments and the reaction-side
@@ -237,6 +244,21 @@ def _row_major_expand(
     return row, pos, rc
 
 
+def _expand_ranges(
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``vals[lo[k]:hi[k]]`` over ranges ``k``, each tagged
+    with ``rows[k]``: returns ``(row, val)`` pair arrays in range order
+    (*vals*'s dtype for both)."""
+    ln = hi - lo
+    pos = np.arange(int(ln.sum()), dtype=np.int64)
+    pos += np.repeat(lo - (np.cumsum(ln) - ln), ln)
+    return np.repeat(rows.astype(vals.dtype), ln), vals[pos]
+
+
 def _dense_buckets(
     anodes: np.ndarray,
     ca: np.ndarray,
@@ -296,7 +318,7 @@ def build_flat_lists(
     exact_bodies: Callable[[int], np.ndarray] | None = None,
     n3l: bool = True,
 ) -> FlatLists:
-    """Flatten *lists* and canonicalize the near field, once per epoch.
+    """Flatten *lists* and split the near field by n3l, once per epoch.
 
     ``body_ids`` maps sorted rows into ``view.point_body``'s id space
     (identity when omitted).  Ids outside the local sorted range —
@@ -377,63 +399,70 @@ def build_flat_lists(
                           np.nonzero(rca > 0)[0].astype(np.int64))
         del a_row64, apos
 
-    # ---- direct pairs (ordered, target-major) -----------------------
-    t, dpos, _ = _row_major_expand(dnodes, counts - ca, grow, n)
-    s = view.point_body[dnodes[dpos]].astype(np.int64)
+    # ---- direct entries (group, source row), sorted -----------------
+    # Every row of group A meets exactly A's direct entries, so the
+    # near field is decided at entry level: ordered pair (i, j) exists
+    # iff entry (A, j) does (A = group of i), and is two-sided iff the
+    # mirror entry (group of j, i) exists too.  A source appears at most
+    # once per list (every body lives in exactly one leaf), so the
+    # (group, row) keys are unique.
+    e_g = np.repeat(np.arange(ng, dtype=np.int64), counts - ca)
+    e_j = view.point_body[dnodes].astype(np.int64)
     if row_of is not None:
-        s = row_of[s]
-    del dpos
-
+        e_j = row_of[e_j]
     if exact_bodies is not None and lists.exact_groups.size:
-        go = groups.offsets
-        ex_t: list[np.ndarray] = [t]
-        ex_s: list[np.ndarray] = [s]
+        ex_g: list[np.ndarray] = [e_g]
+        ex_j: list[np.ndarray] = [e_j]
         for g, node in zip(lists.exact_groups, lists.exact_nodes):
             bodies = np.asarray(exact_bodies(int(node)), dtype=np.int64)
-            if bodies.size == 0:
-                continue
-            rows = np.arange(int(go[g]), int(go[g + 1]), dtype=np.int64)
-            srows = bodies if row_of is None else row_of[bodies]
-            ex_t.append(np.repeat(rows, srows.size))
-            ex_s.append(np.tile(srows, rows.size))
-        t = np.concatenate(ex_t)
-        s = np.concatenate(ex_s)
+            ex_g.append(np.full(bodies.size, int(g), dtype=np.int64))
+            ex_j.append(bodies if row_of is None else row_of[bodies])
+        e_g = np.concatenate(ex_g)
+        e_j = np.concatenate(ex_j)
     includes_exact = exact_bodies is not None
 
-    keep = t != s
-    t, s = t[keep], s[keep]
-    pairs_naive = int(t.size)
+    key = np.sort(e_g * np.int64(n) + e_j)
+    e_g, e_j = np.divmod(key, np.int64(max(n, 1)))
+    e_b = grow[e_j]  # source group of each entry
+    # Every entry meets |A| rows; a source row in A meets itself once.
+    pairs_naive = int(gsz[e_g].sum()) - int(np.count_nonzero(e_b == e_g))
 
-    if t.size:
-        # Each ordered pair occurs at most once, so the canonical key
-        # (min, max) has multiplicity 1 (one-sided) or 2 (two-sided).
-        kdt = _idx_dtype(n * n)  # n is a Python int: n*n is exact
-        lo = np.minimum(t, s)
-        hi = np.maximum(t, s)
-        key = (lo * np.int64(n) + hi).astype(kdt, copy=False)
-        order = np.argsort(key, kind="stable")
-        k = key[order]
-        first = np.empty(k.size, dtype=bool)
-        first[0] = True
-        np.not_equal(k[1:], k[:-1], out=first[1:])
-        dup_next = np.zeros(k.size, dtype=bool)
-        np.equal(k[1:], k[:-1], out=dup_next[:-1])
-        two = order[first & dup_next]
-        one = order[first & ~dup_next]
-        # Two-sided pool: keyed order is (lo, hi)-sorted, so s_t = lo
-        # is already ascending.  One-sided pairs keep their original
-        # orientation; re-sort them by target for the segment scatter.
-        s_t, s_s = lo[two], hi[two]
-        o_t, o_s = t[one], s[one]
-        oorder = np.argsort(o_t.astype(rdt, copy=False), kind="stable")
-        o_t, o_s = o_t[oorder], o_s[oorder]
+    if key.size:
+        # Runs of one (A, source group B); runs are in group order, so
+        # group A's runs are a contiguous CSR row of their own.
+        brk = np.empty(key.size, dtype=bool)
+        brk[0] = True
+        brk[1:] = (e_g[1:] != e_g[:-1]) | (e_b[1:] != e_b[:-1])
+        r_lo = np.nonzero(brk)[0]
+        r_hi = np.append(r_lo[1:], key.size)
+        nrun = np.bincount(e_g[r_lo], minlength=ng)
+        c_row, c_run, _ = _row_major_expand(r_lo, nrun, grow, n)
+        lo, hi = r_lo[c_run], r_hi[c_run]
+        a, b = e_g[lo], e_b[lo]
+        # The mirror of every pair (i, j in run) is the one entry (B, i).
+        q = b * np.int64(n) + c_row
+        p = np.searchsorted(key, q)
+        mirrored = key[np.minimum(p, key.size - 1)] == q
+        # Two-sided pairs are kept from their lower row.  Groups are
+        # ascending row ranges, so that is whole runs with B > A and,
+        # within A's own run, the part past the self entry (which is
+        # the mirror, at p).  Unmirrored runs hold no self pair and are
+        # one-sided whole.
+        two = mirrored & (b >= a)
+        lo2 = np.where(b == a, p + 1, lo)[two]
+        one = ~mirrored
+        # Combinations run row by row, runs by source group, entries by
+        # row: the expansion is already (target, source)-sorted.
+        j_rows = e_j.astype(rdt)
+        s_t, s_s = _expand_ranges(c_row[two], lo2, hi[two], j_rows)
+        o_t, o_s = _expand_ranges(c_row[one], lo[one], hi[one], j_rows)
     else:
-        s_t = s_s = o_t = o_s = np.empty(0, dtype=np.int64)
+        s_t = s_s = o_t = o_s = empty
 
     return FlatLists(
         a_row, a_node, None, a_segs,
-        s_t.astype(rdt), s_s.astype(rdt), _segments(s_t),
-        o_t.astype(rdt), o_s.astype(rdt), _segments(o_t),
+        s_t, s_s, _segments(s_t),
+        o_t, o_s, _segments(o_t),
         pairs_naive=pairs_naive, includes_exact=includes_exact,
         a_dense=a_dense,
     )
@@ -553,9 +582,14 @@ def evaluate_flat(
                     if msk is not None:
                         np.less_equal(Pg, 0.0, out=msk[:g])
                     np.power(Pg, -1.5, out=Pg)
-                Pg *= MN[:g, None, :]
+                # Mask before the mass multiply: a massless node's centre
+                # and the pad row both sit at the origin, so r2 = 0 there
+                # and inf * 0 would warn.  Masses are non-negative, so
+                # the masked slots come out +0.0 either way.
                 if msk is not None:
                     np.copyto(Pg, 0.0, where=msk[:g])
+                Pg *= MN[:g, None, :]
+                if msk is not None:
                     nonzero += int(np.count_nonzero(Pg))
                 np.matmul(Pg, Cg, out=Fg)
                 np.einsum("gbk->gb", Pg, out=x2[:g])  # w row-sums

@@ -10,6 +10,7 @@ the structure cache so list invalidation drops it in the same stroke.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -30,9 +31,10 @@ from repro.traversal import (
     make_groups,
     tree_accelerations,
 )
+from repro.traversal.driver import hilbert_body_order
 from repro.traversal.engine import build_interaction_lists
-from repro.traversal.flat import Segments
-from repro.workloads import galaxy_collision
+from repro.traversal.flat import Segments, _idx_dtype, _segments
+from repro.workloads import galaxy_collision, uniform_cube
 
 RTOL = 1e-12
 
@@ -116,6 +118,19 @@ class TestFlatMatchesTile:
                                   eval_mode="flat")
         assert np.all(np.isfinite(flat))
         assert relative_l2_error(flat, tile) < RTOL
+
+    def test_massless_tracers_raise_no_warning(self):
+        """Unsoftened dense batches with massless bodies: a massless
+        node's centre (the origin) meets the pad row, whose r2 = 0
+        weight must be masked before the mass multiply, not after."""
+        s = uniform_cube(2000, seed=1)
+        s.m[1::2] = 0.0  # tracer particles
+        sim = Simulation(s, SimulationConfig(algorithm="bvh",
+                                             traversal="grouped"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim.run(2)
+        assert np.all(np.isfinite(s.x)) and np.all(np.isfinite(s.v))
 
     def test_group_size_one(self, small_cloud, soft_gravity):
         """Degenerate groups: every near pair is a single body pair."""
@@ -206,6 +221,178 @@ class TestNewtonThirdLaw:
         assert fl.a_dense is not None and len(fl.a_dense) >= 1
         assert fl.a_row.shape[0] == 0  # node pool fully batched
         assert fl.n_node_pairs == sum(b.n_real for b in fl.a_dense)
+
+
+def _reference_body_pools(view, lists, groups, body_ids, exact_bodies):
+    """The canonical-key construction of the n3l body pools: expand
+    every ordered near-field pair, sort by its ``(min, max)`` key and
+    split multiplicity two (two-sided) from one (one-sided).  Test-only
+    oracle for :func:`build_flat_lists`' entry/run-level construction.
+    """
+    n = groups.n_bodies
+    rdt = _idx_dtype(max(n, 1))
+    row_of = None
+    if body_ids is not None:
+        row_of = np.empty(n, dtype=np.int64)
+        row_of[body_ids] = np.arange(n, dtype=np.int64)
+    go = groups.offsets.astype(np.int64)
+    ts: list[np.ndarray] = []
+    ss: list[np.ndarray] = []
+    for g in range(groups.n_groups):
+        rows = np.arange(go[g], go[g + 1], dtype=np.int64)
+        src = view.point_body[lists.direct_leaves(g)].astype(np.int64)
+        if row_of is not None:
+            src = row_of[src]
+        ts.append(np.repeat(rows, src.size))
+        ss.append(np.tile(src, rows.size))
+    if exact_bodies is not None:
+        for g, node in zip(lists.exact_groups, lists.exact_nodes):
+            rows = np.arange(go[g], go[g + 1], dtype=np.int64)
+            bodies = np.asarray(exact_bodies(int(node)), dtype=np.int64)
+            srows = bodies if row_of is None else row_of[bodies]
+            ts.append(np.repeat(rows, srows.size))
+            ss.append(np.tile(srows, rows.size))
+    t = np.concatenate(ts) if ts else np.empty(0, dtype=np.int64)
+    s = np.concatenate(ss) if ss else np.empty(0, dtype=np.int64)
+    keep = t != s
+    t, s = t[keep], s[keep]
+    pairs_naive = int(t.size)
+    if t.size:
+        lo, hi = np.minimum(t, s), np.maximum(t, s)
+        key = lo * np.int64(n) + hi
+        order = np.argsort(key, kind="stable")
+        k = key[order]
+        first = np.ones(k.size, dtype=bool)
+        first[1:] = k[1:] != k[:-1]
+        dup_next = np.zeros(k.size, dtype=bool)
+        dup_next[:-1] = k[1:] == k[:-1]
+        two = order[first & dup_next]
+        one = order[first & ~dup_next]
+        s_t, s_s = lo[two], hi[two]
+        o_t, o_s = t[one], s[one]
+        oorder = np.argsort(o_t, kind="stable")
+        o_t, o_s = o_t[oorder], o_s[oorder]
+    else:
+        s_t = s_s = o_t = o_s = np.empty(0, dtype=np.int64)
+    return {"s_t": s_t.astype(rdt), "s_s": s_s.astype(rdt),
+            "o_t": o_t.astype(rdt), "o_s": o_s.astype(rdt),
+            "s_segs": _segments(s_t), "o_segs": _segments(o_t),
+            "pairs_naive": pairs_naive,
+            "includes_exact": exact_bodies is not None}
+
+
+def _bitwise_equal(a, b) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestBodyPoolsMatchCanonicalSort:
+    """The entry/run-level n3l construction reproduces the canonical
+    pair-sort pools bit for bit: same pairs, order, dtypes, segments."""
+
+    @staticmethod
+    def _lists(view, x, group_size, theta=0.5):
+        sorts = view.body_order is None
+        perm = hilbert_body_order(x, view.box) if sorts else view.body_order
+        groups = make_groups(x[perm], group_size)
+        lists = build_interaction_lists(view, groups, theta)
+        return lists, groups, (perm if sorts else None)
+
+    @staticmethod
+    def _assert_matches(view, lists, groups, body_ids, exact_bodies):
+        fl = build_flat_lists(view, lists, groups, body_ids=body_ids,
+                              exact_bodies=exact_bodies)
+        ref = _reference_body_pools(view, lists, groups, body_ids,
+                                    exact_bodies)
+        for name in ("s_t", "s_s", "o_t", "o_s"):
+            assert _bitwise_equal(getattr(fl, name), ref[name]), name
+        for name in ("s_segs", "o_segs"):
+            got, want = getattr(fl, name), ref[name]
+            assert _bitwise_equal(got.starts, want.starts), name
+            assert _bitwise_equal(got.rows, want.rows), name
+        assert fl.pairs_naive == ref["pairs_naive"]
+        assert fl.includes_exact == ref["includes_exact"]
+        return fl
+
+    def _check(self, view, x, group_size, exact_bodies):
+        lists, groups, body_ids = self._lists(view, x, group_size)
+        return self._assert_matches(view, lists, groups, body_ids,
+                                    exact_bodies), lists
+
+    @staticmethod
+    def _coincident(n, seed=7):
+        rng = np.random.default_rng(seed)
+        x = np.repeat(rng.random((max(n // 4, 1), 3)), 4, axis=0)[:n]
+        return x, rng.random(x.shape[0]) + 0.1
+
+    @pytest.mark.parametrize("group_size", [1, 7, 32])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_octree_bucket_leaves(self, group_size, order):
+        """Coincident bodies on a 3-bit grid force bucket leaves, whose
+        bodies fold into the pools; octree rows are permuted body ids."""
+        x, m = self._coincident(160)
+        view = octree_tree_view(_octree(x, m, order=order, bits=3))
+        fl, lists = self._check(view, x, group_size, view.exact_bodies)
+        assert lists.exact_groups.size > 0
+        assert fl.n_two_sided > 0
+        self._check(view, x, group_size, None)  # buckets left out
+
+    @pytest.mark.parametrize("group_size", [1, 7, 32])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_octree(self, small_cloud, group_size, order):
+        x, m = small_cloud.x, small_cloud.m
+        view = octree_tree_view(_octree(x, m, order=order))
+        fl, _ = self._check(view, x, group_size, view.exact_bodies)
+        assert fl.n_two_sided > 0 and fl.n_one_sided > 0
+
+    @pytest.mark.parametrize("group_size", [1, 7, 32])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bvh(self, small_cloud, group_size, order):
+        bvh = build_bvh(small_cloud.x, small_cloud.m, order=order)
+        fl, _ = self._check(bvh_tree_view(bvh), small_cloud.x,
+                            group_size, None)
+        assert fl.n_two_sided > 0 and fl.n_one_sided > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alg", ["bvh", "octree"])
+    def test_tiny(self, rng, n, alg):
+        x = rng.random((n, 3))
+        m = rng.random(n) + 0.1
+        if alg == "bvh":
+            view = bvh_tree_view(build_bvh(x, m))
+        else:
+            view = octree_tree_view(_octree(x, m))
+        for group_size in (1, 2):
+            self._check(view, x, group_size, view.exact_bodies)
+
+    @pytest.mark.parametrize("alg", ["bvh", "octree"])
+    def test_group_with_empty_direct_list(self, small_cloud, alg):
+        """Strip one group's direct entries: its rows meet no run, and
+        every pair naming them from other groups loses its mirror."""
+        x, m = small_cloud.x, small_cloud.m
+        if alg == "bvh":
+            view = bvh_tree_view(build_bvh(x, m))
+        else:
+            view = octree_tree_view(_octree(x, m))
+        lists, groups, body_ids = self._lists(view, x, 16)
+        g = groups.n_groups // 2
+        sl = lists.group_entries(g)
+        keep = np.ones(lists.n_entries, dtype=bool)
+        keep[sl] = lists.approx[sl]
+        counts = np.diff(lists.offsets)
+        counts[g] = int(keep[sl].sum())
+        offsets = np.zeros_like(lists.offsets)
+        np.cumsum(counts, out=offsets[1:])
+        stripped = dataclasses.replace(
+            lists, offsets=offsets, nodes=lists.nodes[keep],
+            approx=lists.approx[keep])
+        assert stripped.direct_leaves(g).size == 0
+        fl = self._assert_matches(view, stripped, groups, body_ids,
+                                  view.exact_bodies)
+        rows_g = np.arange(groups.offsets[g], groups.offsets[g + 1])
+        assert not np.isin(fl.s_t, rows_g).any()
+        assert not np.isin(fl.s_s, rows_g).any()
+        assert np.isin(fl.o_s, rows_g).any()
 
 
 class TestStructureCache:
