@@ -87,7 +87,9 @@ class LETPlan:
 
 def _domain_groups(lo: np.ndarray, hi: np.ndarray) -> BodyGroups:
     """Abuse of :class:`BodyGroups`: one 'group' per destination domain
-    box.  The list builder only reads ``lo``/``hi``/``n_groups``."""
+    box.  The list builder reads ``lo``/``hi`` and the body counts the
+    ``offsets`` imply, dropping targets whose count is zero; the
+    ``arange`` offsets give every domain group a count of one."""
     ng = lo.shape[0]
     return BodyGroups(np.arange(ng + 1, dtype=INDEX), lo, hi)
 
@@ -107,8 +109,9 @@ def build_let_plan(
     """Size the LET of *src*'s tree toward each destination domain.
 
     One conservative-MAC walk per destination, all destinations level-
-    synchronously at once (the same frontier sweep the grouped
-    traversal uses).  ``visited_nodes`` is what crosses the wire.
+    synchronously at once (the grouped list build, i.e. the dual walk
+    with the cell-cell branch off).  ``visited_nodes`` — every node the
+    walk visits, empty children included — is what crosses the wire.
     ``mac_margin`` inflates the opening radius (see
     :mod:`repro.maintenance.drift`) so the plan survives bounded body
     drift on refit steps.

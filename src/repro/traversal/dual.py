@@ -18,20 +18,22 @@ Hilbert-contiguous group boxes), and a simultaneous walk over
 * **recurse** — otherwise the larger cell opens: the target splits
   whenever the source already passes its MAC (see below), else
   whichever cell is bigger;
-* **near** — pairs reaching a leaf target fall back to the grouped
-  engine's semantics verbatim: accepted nodes and point leaves are
-  emitted into ordinary per-group interaction lists (evaluated by the
-  existing dense tile kernels), bucket leaves are recorded for exact
-  expansion.
+* **near** — pairs reaching a leaf target are the grouped walk:
+  accepted nodes and point leaves are emitted into ordinary per-group
+  interaction lists (evaluated by the existing dense tile kernels),
+  bucket leaves are recorded for exact expansion.
 
-The split rule "if the source passes its MAC, split the **target**,
-never the source" gives two structural guarantees:
+This is the codebase's only list walk.  The grouped build
+(:func:`repro.traversal.engine.build_interaction_lists`) is the same
+walk with the cell-cell branch off, which gives two structural
+guarantees together with the split rule "if the source passes its MAC,
+split the **target**, never the source":
 
-1. **Exactness fallback** — with the cell-cell branch disabled
-   (``cc_mac = 0``) no pair is ever far and no source is ever split
-   above a leaf target, so the walk degenerates into exactly the
-   grouped per-group source walk and the emitted lists — hence the
-   forces — are bit-identical to ``traversal="grouped"``.
+1. **Exactness fallback** — with ``cc_mac = 0`` no pair is ever far and
+   no source is ever split above a leaf target, so the walk is one
+   source walk per group, started at the group's leaf target.  That is
+   the grouped build itself, so the emitted lists — hence the forces —
+   are bit-identical to ``traversal="grouped"`` by construction.
 2. **LET superset** — the walk only opens a source node that fails the
    conservative MAC against some target box, which is contained in the
    rank's domain box; failing the easier criterion implies failing the
@@ -166,29 +168,51 @@ def build_dual_lists(
 ) -> DualLists:
     """Simultaneous walk over (target node, source node) pairs.
 
-    Level-synchronous like the grouped build: every round classifies
-    all pending pairs at once; far pairs retire into the M2L list,
-    near-field decisions at leaf targets are emitted in the grouped
-    engine's exact semantics, everything else expands into the next
-    frontier.  Both MACs share :func:`mac_threshold2`, so the drift
-    margin inflates the opening radius of near *and* far acceptance.
+    Far pairs retire into the M2L list, near-field decisions at leaf
+    targets are emitted as per-group interaction lists, everything else
+    expands into the next frontier (see :func:`_pair_walk`).  Both MACs
+    share :func:`mac_threshold2`, so the drift margin inflates the
+    opening radius of near *and* far acceptance.
+    """
+    return _pair_walk(view, tt, theta, cc_mac, mac_margin)[0]
+
+
+def _pair_walk(
+    view: TreeView,
+    tt: TargetTree,
+    theta: float,
+    cc_mac: float,
+    mac_margin: float,
+) -> tuple[DualLists, np.ndarray]:
+    """The one list walk, shared by the dual and the grouped builds.
+
+    Level-synchronous: every round classifies all pending (target,
+    source) pairs at once, so the Python loop runs depth-many rounds.
+    Empty (``KLASS_SKIP``) sources are dropped before the MAC; besides
+    the lists, the walk returns how many it met at each group's leaf
+    target, which :func:`repro.traversal.engine.build_interaction_lists`
+    adds to ``near.steps`` to charge the grouped walk's visits to them.
+
+    With the cell-cell branch off (``cc_mac = 0``) every pair above a
+    leaf target would split the target, so the walk starts at the
+    occupied leaf targets with the source root; the root-source tests
+    of that split-down are still counted in ``mac_evals``.
     """
     empty_idx = np.empty(0, dtype=INDEX)
     ng = tt.n_groups
     theta2 = theta * theta
     cc2 = cc_mac * cc_mac
     steps = np.zeros(ng, dtype=np.int64)
+    skipped = np.zeros(ng, dtype=np.int64)
 
-    def _empty_near() -> InteractionLists:
-        return InteractionLists(
+    if ng == 0 or view.klass.shape[0] == 0 or tt.count[0] == 0:
+        near = InteractionLists(
             np.zeros(ng + 1, dtype=INDEX), empty_idx,
             np.empty(0, dtype=bool), empty_idx, empty_idx,
             steps, theta, mac_margin,
         )
-
-    if ng == 0 or view.klass.shape[0] == 0 or tt.count[0] == 0:
-        return DualLists(_empty_near(), empty_idx, empty_idx, tt,
-                         theta, cc_mac, mac_margin, 0)
+        return DualLists(near, empty_idx, empty_idx, tt,
+                         theta, cc_mac, mac_margin, 0), skipped
 
     klass = view.klass
     ssize2 = view.size2
@@ -208,85 +232,101 @@ def build_dual_lists(
     ex_nd: list[np.ndarray] = []
     far_t: list[np.ndarray] = []
     far_s: list[np.ndarray] = []
-    mac_evals = 0
 
-    T = np.zeros(1, dtype=INDEX)
-    S = np.zeros(1, dtype=INDEX)
+    if cc_on:
+        T = np.zeros(1, dtype=INDEX)
+        mac_evals = 0
+    else:
+        T = fl + np.flatnonzero(tcount[fl:fl + ng] > 0).astype(INDEX)
+        mac_evals = (int(np.count_nonzero(tcount[:fl] > 0))
+                     if klass[0] != KLASS_SKIP else 0)
+    S = np.zeros(T.shape[0], dtype=INDEX)
+    # Boolean-mask selection and row gathers go through compress/take:
+    # same elements, several times faster than fancy indexing here.
     while T.size:
-        live = (tcount[T] > 0) & (klass[S] != KLASS_SKIP)
-        T, S = T[live], S[live]
-        if not T.size:
-            break
+        kl = klass.take(S)
+        skip = kl == KLASS_SKIP
+        # Only a split target can be empty; cc_mac=0 never splits one.
+        occupied = tcount.take(T) > 0 if cc_on else True
+        if skip.any():
+            met = skip & occupied & (T >= fl)
+            skipped += np.bincount(T.compress(met) - fl, minlength=ng)
+        live = ~skip & occupied
+        if not live.all():
+            T, S, kl = T.compress(live), S.compress(live), kl.compress(live)
         mac_evals += int(T.size)
-        kl = klass[S]
         internal = kl == KLASS_INTERNAL
-        dmin2 = aabb_dmin2(tlo[T], thi[T], com[S])
+        dmin2 = aabb_dmin2(tlo.take(T, axis=0), thi.take(T, axis=0),
+                           com.take(S, axis=0))
         thr = mac_threshold2(dmin2, theta2, mac_margin)
-        src_ok = (internal & (ssize2[S] < thr)) | (kl == KLASS_POINT)
-        far = np.zeros(T.shape[0], dtype=bool)
+        src_ok = (internal & (ssize2.take(S) < thr)) | (kl == KLASS_POINT)
+        t_leaf = T >= fl
         if cc_on:
             # Cell-cell acceptance: source multipole valid for the whole
             # target box AND target small enough for the truncated
             # Taylor series; dmin2 > 0 keeps the expansion centre
             # strictly outside the source's softening ball.
-            far = src_ok & (tsize2[T] < cc2 * thr) & (dmin2 > 0.0)
+            far = src_ok & (tsize2.take(T) < cc2 * thr) & (dmin2 > 0.0)
             if far.any():
-                far_t.append(T[far])
-                far_s.append(S[far])
+                far_t.append(T.compress(far))
+                far_s.append(S.compress(far))
+                t_leaf &= ~far
 
-        rest = ~far
-        t_leaf = rest & (T >= fl)
-        # --- leaf targets: the grouped engine's decisions, verbatim ---
+        # --- leaf targets: accept / emit / open the source ----------
         emit = t_leaf & src_ok
         if emit.any():
-            rows_g.append((T[emit] - fl).astype(INDEX))
-            rows_nd.append(S[emit])
-            rows_ap.append(internal[emit])
+            rows_g.append(T.compress(emit) - fl)
+            rows_nd.append(S.compress(emit))
+            rows_ap.append(internal.compress(emit))
         exact = t_leaf & (kl == KLASS_EXACT)
         if exact.any():
-            ex_g.append((T[exact] - fl).astype(INDEX))
-            ex_nd.append(S[exact])
-        np.add.at(steps, (T[t_leaf] - fl).astype(np.int64), 1)
-        open_src_leaf = t_leaf & internal & ~src_ok
-        # --- internal targets ---------------------------------------
-        t_int = rest & (T < fl)
-        # A source that already passes its MAC (or must be expanded
-        # body-by-body) never opens above a leaf target: descend the
-        # target instead.  This is what makes cc_mac=0 degenerate into
-        # the grouped walk and keeps multi-rank walks inside the LET.
-        split_t = t_int & (src_ok | (kl == KLASS_EXACT) | ~internal)
-        rest_int = t_int & internal & ~src_ok
-        if cc_on:
-            bigger_src = ssize2[S] > tsize2[T]
-            open_src_int = rest_int & bigger_src
-            split_t = split_t | (rest_int & ~bigger_src)
-        else:
-            open_src_int = np.zeros_like(rest_int)
-            split_t = split_t | rest_int
+            ex_g.append(T.compress(exact) - fl)
+            ex_nd.append(S.compress(exact))
+        # cc_mac=0 walks leaf targets only.
+        leaf_T = T.compress(t_leaf) if cc_on else T
+        steps += np.bincount(leaf_T - fl, minlength=ng)
+        open_src = t_leaf & internal & ~src_ok
 
         nxt_T: list[np.ndarray] = []
         nxt_S: list[np.ndarray] = []
-        if split_t.any():
-            Tt = T[split_t]
-            nxt_T.append(np.concatenate([2 * Tt + 1, 2 * Tt + 2]))
-            nxt_S.append(np.concatenate([S[split_t], S[split_t]]))
-        open_src = open_src_leaf | open_src_int
+        if cc_on:
+            # --- internal targets -----------------------------------
+            # A source that already passes its MAC (or must be
+            # expanded body-by-body) never opens above a leaf target:
+            # descend the target instead.  This keeps multi-rank walks
+            # inside the LET.
+            t_int = ~t_leaf & ~far
+            split_t = t_int & (src_ok | ~internal)
+            rest_int = t_int & internal & ~src_ok
+            bigger_src = ssize2.take(S) > tsize2.take(T)
+            open_src |= rest_int & bigger_src
+            split_t |= rest_int & ~bigger_src
+            if split_t.any():
+                Tt = T.compress(split_t)
+                St = S.compress(split_t)
+                nxt_T.append(np.concatenate([2 * Tt + 1, 2 * Tt + 2]))
+                nxt_S.append(np.concatenate([St, St]))
         if open_src.any():
-            base = first_child[S[open_src]]
+            base = first_child.take(S.compress(open_src))
             nxt_S.append(
                 (base[:, None] + np.arange(branch, dtype=INDEX)).ravel())
-            nxt_T.append(np.repeat(T[open_src], branch))
+            nxt_T.append(np.repeat(T.compress(open_src), branch))
         if not nxt_T:
             break
-        T = np.concatenate(nxt_T).astype(INDEX)
-        S = np.concatenate(nxt_S).astype(INDEX)
+        T = np.concatenate(nxt_T).astype(INDEX, copy=False)
+        S = np.concatenate(nxt_S).astype(INDEX, copy=False)
 
-    # --- near lists in the grouped engine's CSR + DFS order ----------
+    # --- near lists: CSR in each group's DFS emission order ----------
     stride = INDEX(view.dfs_rank.shape[0])
     if rows_g:
         g_all = np.concatenate(rows_g)
         nd_all = np.concatenate(rows_nd)
-        order = np.argsort(g_all * stride + view.dfs_rank[nd_all])
+        # Unique (group, DFS rank) keys; sorting them recovers each
+        # group's stackless-DFS emission order.  At cc_mac=0 every
+        # round emits in key order already, which a run-merging sort
+        # exploits.
+        order = np.argsort(g_all * stride + view.dfs_rank.take(nd_all),
+                           kind=None if cc_on else "stable")
         nodes = nd_all[order]
         approx = np.concatenate(rows_ap)[order]
         counts = np.bincount(g_all, minlength=ng)
@@ -317,7 +357,8 @@ def build_dual_lists(
         ft, fs = ft[order], fs[order]
     else:
         ft = fs = empty_idx
-    return DualLists(near, ft, fs, tt, theta, cc_mac, mac_margin, mac_evals)
+    return DualLists(near, ft, fs, tt, theta, cc_mac, mac_margin,
+                     mac_evals), skipped
 
 
 def evaluate_dual(
@@ -392,11 +433,12 @@ def account_dual_force(
 ) -> None:
     """Charge one dual force evaluation.
 
-    The near side is exactly a grouped evaluation of ``dual.near``
-    (whose ``steps`` are zero — the walk is charged here instead, once
-    per build, as pair-MAC visits).  The far side pays M2L per pair,
-    the L2L shift per target node and L2P per body every step; the
-    expansion arrays make one irregular round trip per stage.
+    The near side is charged exactly as a grouped evaluation of
+    ``dual.near``, whose ``steps`` hold the walk's leaf-target visits.
+    On a build, every pair-MAC test of the walk (``dual.mac_evals``,
+    which includes those visits) is charged on top.  The far side pays
+    M2L per pair, the L2L shift per target node and L2P per body every
+    step; the expansion arrays make one irregular round trip per stage.
     """
     account_grouped_force(
         counters, dual.near, groups,

@@ -22,14 +22,15 @@ keeping the theta-controlled error bound.  At ``group_size=1`` the AABB
 is the body itself and ``dmin`` equals the per-body distance bit for
 bit, so the walk visits exactly the per-body node set.
 
-The walk is executed as a level-synchronous frontier sweep over all
-groups at once (depth-many vectorized rounds rather than
-walk-length-many), which is how the build stays fast in numpy.  Since
-the accept/open decision at a node depends only on the node and the
-group box — never on visit order — the visited set equals the stackless
-DFS walk's; each group's emissions are then sorted by the nodes'
-precomputed DFS-preorder rank, recovering the exact per-body DFS
-emission order the lockstep kernels accumulate in.
+The walk is the dual walk of :mod:`repro.traversal.dual` with the
+cell-cell branch off, started at every group's leaf target: a
+level-synchronous sweep over all groups at once (depth-many vectorized
+rounds rather than walk-length-many), which is how the build stays
+fast in numpy.  Since the accept/open decision at a node depends only
+on the node and the group box — never on visit order — the visited set
+equals the stackless DFS walk's; each group's emissions are then sorted
+by the nodes' precomputed DFS-preorder rank, recovering the exact
+per-body DFS emission order the lockstep kernels accumulate in.
 
 **Evaluation** turns each group's list into a dense ``group x node``
 tile.  Two tile kernels are provided:
@@ -84,9 +85,10 @@ def mac_threshold2(
     ``size^2 < theta^2 * max(dmin - margin, 0)^2``.  The margin branch
     is the only place the hot loop needs a square root; at
     ``mac_margin == 0`` the threshold is just ``theta^2 * dmin2`` and
-    the sqrt is skipped entirely.  Shared by the grouped list build,
-    the LET selection and the dual-tree walk so every MAC in the
-    codebase evaluates the same floating-point expression.
+    the sqrt is skipped entirely.  The one list walk
+    (:mod:`repro.traversal.dual`) evaluates every MAC through it —
+    grouped, LET and dual builds alike — so all of them evaluate the
+    same floating-point expression.
     """
     if mac_margin <= 0.0:
         return theta2 * dmin2
@@ -103,7 +105,12 @@ def aabb_dmin2(
     so the conservative group MAC coincides bit for bit with the
     per-body criterion at ``group_size=1``.
     """
-    d = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
+    # In place: same expression, without three fresh temporaries.
+    d = np.subtract(lo, c)
+    np.maximum(d, 0.0, out=d)
+    e = np.subtract(c, hi)
+    np.maximum(e, 0.0, out=e)
+    d += e
     return np.einsum("ij,ij->i", d, d)
 
 
@@ -192,11 +199,12 @@ def build_interaction_lists(
 ) -> InteractionLists:
     """Walk the tree once per group and emit its interaction lists.
 
-    Level-synchronous frontier sweep: every round tests the MAC for all
-    pending (group, node) pairs at once and expands the rejected
-    internal nodes' children into the next frontier, so the Python loop
-    runs depth-many rounds.  Emissions are sorted per group by DFS
-    rank afterwards, which reproduces the stackless walk's order.
+    The walk is the dual walk's (:mod:`repro.traversal.dual`) with the
+    cell-cell branch off: one source walk per leaf target, i.e. per
+    group, emissions sorted per group by DFS rank.  Groups must hold at
+    least one body; the walk drops empty targets.  ``steps`` counts
+    every node a group visits, including the empty (``KLASS_SKIP``)
+    children the walk drops before the MAC.
 
     *mac_margin* > 0 tightens acceptance to
     ``size^2 < theta^2 * max(dmin - margin, 0)^2`` — the drift-bounded
@@ -207,83 +215,14 @@ def build_interaction_lists(
     MAC at the *current* positions, so cached lists remain provable
     supersets.  ``mac_margin=0`` is bit-identical to the plain MAC.
     """
-    ng = groups.n_groups
-    theta2 = theta * theta
-    steps = np.zeros(ng, dtype=np.int64)
-    empty_idx = np.empty(0, dtype=INDEX)
-    if ng == 0:
-        return InteractionLists(
-            np.zeros(1, dtype=INDEX), empty_idx, np.empty(0, dtype=bool),
-            empty_idx, empty_idx, steps, theta, mac_margin,
-        )
+    # Deferred import: the dual walk builds on the engine's structures.
+    from repro.traversal.dual import _pair_walk, build_target_tree
 
-    klass = view.klass
-    size2 = view.size2
-    com = view.com
-    first_child = view.first_child
-    branch = view.branch
-    glo = groups.lo
-    ghi = groups.hi
-
-    rows_g: list[np.ndarray] = []
-    rows_nd: list[np.ndarray] = []
-    rows_ap: list[np.ndarray] = []
-    ex_g: list[np.ndarray] = []
-    ex_nd: list[np.ndarray] = []
-
-    g = np.arange(ng, dtype=INDEX)
-    nd = np.zeros(ng, dtype=INDEX)
-    while g.size:
-        steps += np.bincount(g, minlength=ng)
-        kl = klass[nd]
-        internal = kl == KLASS_INTERNAL
-        dmin2 = aabb_dmin2(glo[g], ghi[g], com[nd])
-        accept = internal & (size2[nd] < mac_threshold2(dmin2, theta2,
-                                                        mac_margin))
-        emit = accept | (kl == KLASS_POINT)
-        if emit.any():
-            rows_g.append(g[emit])
-            rows_nd.append(nd[emit])
-            rows_ap.append(accept[emit])
-        exact = kl == KLASS_EXACT
-        if exact.any():
-            ex_g.append(g[exact])
-            ex_nd.append(nd[exact])
-
-        expand = internal & ~accept
-        if not expand.any():
-            break
-        base = first_child[nd[expand]]
-        nd = (base[:, None] + np.arange(branch, dtype=INDEX)).ravel()
-        g = np.repeat(g[expand], branch)
-
-    if rows_g:
-        g_all = np.concatenate(rows_g)
-        nd_all = np.concatenate(rows_nd)
-        # Unique (group, DFS rank) keys; sorting them recovers each
-        # group's stackless-DFS emission order.
-        stride = INDEX(view.dfs_rank.shape[0])
-        order = np.argsort(g_all * stride + view.dfs_rank[nd_all])
-        nodes = nd_all[order]
-        approx = np.concatenate(rows_ap)[order]
-        counts = np.bincount(g_all, minlength=ng)
-    else:
-        nodes = empty_idx
-        approx = np.empty(0, dtype=bool)
-        counts = np.zeros(ng, dtype=np.int64)
-    offsets = np.zeros(ng + 1, dtype=INDEX)
-    np.cumsum(counts, out=offsets[1:])
-
-    if ex_g:
-        eg = np.concatenate(ex_g)
-        en = np.concatenate(ex_nd)
-        order = np.argsort(eg * INDEX(view.dfs_rank.shape[0])
-                           + view.dfs_rank[en])
-        exact_groups, exact_nodes = eg[order], en[order]
-    else:
-        exact_groups = exact_nodes = empty_idx
-    return InteractionLists(offsets, nodes, approx,
-                            exact_groups, exact_nodes, steps, theta, mac_margin)
+    dual, skipped = _pair_walk(view, build_target_tree(groups), theta,
+                               0.0, mac_margin)
+    lists = dual.near
+    lists.steps += skipped
+    return lists
 
 
 @dataclass(frozen=True)

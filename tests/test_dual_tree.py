@@ -36,7 +36,11 @@ from repro.physics.accuracy import relative_l2_error
 from repro.physics.bodies import BodySystem
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.stdpar.context import ExecutionContext
-from repro.traversal import make_groups, tree_accelerations
+from repro.traversal import (
+    hilbert_body_order,
+    make_groups,
+    tree_accelerations,
+)
 from repro.traversal.dual import (
     build_dual_lists,
     build_target_tree,
@@ -91,12 +95,19 @@ class TestExactFallback:
                                theta=theta, group_size=16, cc_mac=0.0)
         assert np.array_equal(g, d)
 
-    def test_near_lists_identical(self, small_cloud):
+    @pytest.mark.parametrize("kind", ["bvh", "octree"])
+    def test_near_lists_identical(self, small_cloud, kind):
         """List-level check: the degenerate dual walk emits the grouped
         walk's CSR verbatim (same nodes, same order, same buckets)."""
-        bvh = build_bvh(small_cloud.x, small_cloud.m)
-        view = bvh_tree_view(bvh)
-        groups = make_groups(bvh.x_sorted, 16)
+        x = small_cloud.x
+        if kind == "bvh":
+            bvh = build_bvh(x, small_cloud.m)
+            view = bvh_tree_view(bvh)
+            xs = bvh.x_sorted
+        else:
+            view = octree_tree_view(_octree(x, small_cloud.m))
+            xs = x[hilbert_body_order(x, view.box)]
+        groups = make_groups(xs, 16)
         ref = build_interaction_lists(view, groups, 0.5)
         dual = build_dual_lists(view, build_target_tree(groups), 0.5,
                                 cc_mac=0.0)
