@@ -27,17 +27,11 @@ import numpy as np
 
 from repro.geometry.aabb import AABB, compute_bounding_box, quantize_to_grid
 from repro.geometry.hilbert import hilbert_encode
-from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D, morton_encode
+from repro.geometry.morton import max_bits, morton_encode
 from repro.bvh.layout import BVHLayout, bvh_escape_indices, next_pow2
 from repro.stdpar.context import ExecutionContext
 from repro.stdpar.policy import par
 from repro.types import FLOAT, INDEX
-
-
-def default_sort_bits(dim: int) -> int:
-    # Finest grid that still fits a 64-bit key; only the *order* matters,
-    # so finer is safely conservative.
-    return MAX_BITS_3D if dim == 3 else MAX_BITS_2D
 
 
 def hilbert_sort_permutation(
@@ -65,7 +59,7 @@ def hilbert_sort_permutation(
     if n == 0:
         return np.empty(0, dtype=INDEX)
     if keys is None:
-        bits = default_sort_bits(dim) if bits is None else bits
+        bits = max_bits(dim) if bits is None else bits
         grid = quantize_to_grid(x, box, bits)
         if curve == "hilbert":
             keys = hilbert_encode(grid, bits)

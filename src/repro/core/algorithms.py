@@ -71,20 +71,21 @@ class ForceAlgorithm(ABC):
         """
 
     # ------------------------------------------------------------------
-    def _bounding_box(self, system: BodySystem, ctx: ExecutionContext) -> AABB:
-        """CALCULATEBOUNDINGBOX as a stdpar transform_reduce (Alg. 3)."""
+    def _bounding_box(self, x: np.ndarray, ctx: ExecutionContext) -> AABB:
+        """CALCULATEBOUNDINGBOX of positions *x* as a stdpar
+        transform_reduce (Alg. 3)."""
+        n, dim = x.shape
         with ctx.step("bounding_box"):
-            x = system.x
             return transform_reduce(
                 par_unseq,
-                system.n,
-                AABB.empty(system.dim),
+                n,
+                AABB.empty(dim),
                 lambda a, b: a.merge(b),
                 lambda i: AABB(x[i], x[i]),
                 ctx,
                 batch=lambda _idx: compute_bounding_box(x),
-                flops_per_item=2.0 * system.dim,
-                bytes_per_item=8.0 * system.dim,
+                flops_per_item=2.0 * dim,
+                bytes_per_item=8.0 * dim,
             )
 
 
@@ -326,7 +327,7 @@ class TreeAlgorithm(ForceAlgorithm):
             entry = (shared.lookup(self.name, config, system, ctx=ctx)
                      if shared is not None else None)
             if entry is None:
-                box = self._bounding_box(system, ctx)
+                box = self._bounding_box(system.x, ctx)
                 with ctx.step(hooks.build_step):
                     structure = hooks.build(system.x, box, config, ctx)
                 entry = (shared.store(self.name, config, system, structure)

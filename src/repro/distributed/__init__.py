@@ -5,8 +5,8 @@ Layers, bottom up:
 * :mod:`repro.distributed.partition` — Hilbert-key-range decomposition
   (static equal-count or work-weighted splits);
 * :mod:`repro.distributed.let` — locally-essential-tree halo selection
-  with the grouped traversal's conservative MAC, plus cross-rank force
-  evaluation;
+  with the grouped traversal's conservative MAC, plus the cross-rank
+  force (the single-rank force driver with foreign targets);
 * :mod:`repro.distributed.fabric` — alpha-beta interconnect model
   (uniform or NVLink-intra / IB-inter hierarchical topologies);
 * :mod:`repro.distributed.balance` — rebalance cadence and counter-fed
@@ -20,7 +20,6 @@ from repro.distributed.fabric import Fabric, FabricTraffic
 from repro.distributed.let import (
     LETPlan,
     build_let_plan,
-    halo_point_accelerations,
     let_node_bytes,
     remote_accelerations,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "FabricTraffic",
     "LETPlan",
     "build_let_plan",
-    "halo_point_accelerations",
     "let_node_bytes",
     "remote_accelerations",
     "DECOMPOSITION_MODES",

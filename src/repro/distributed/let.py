@@ -21,7 +21,10 @@ domain walk (the LET content: every opened node's children plus the
 accepted frontier) times the per-node wire size.  The cross-rank force
 contribution is then computed by walking the source tree with the
 destination's body groups — operationally identical to walking the
-imported LET, since the walk provably never leaves it.
+imported LET, since the walk provably never leaves it.  That walk is
+the local force driver's own (:mod:`repro.traversal.driver`), with the
+destination's bodies as foreign targets: one list build, evaluator
+choice, bucket-leaf expansion and accounting for local and halo forces.
 """
 
 from __future__ import annotations
@@ -30,22 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.physics.multipole import quadrupole_accel
-from repro.traversal.engine import (
-    InteractionLists,
-    TreeView,
-    build_interaction_lists,
-    evaluate_interaction_lists,
-)
+from repro.traversal.engine import TreeView, build_interaction_lists
 from repro.traversal.groups import BodyGroups
-from repro.types import FLOAT, INDEX
-
-#: body_ids sentinel for cross-rank evaluation: destination bodies can
-#: never be a source tree's point leaves, but their *local* indices can
-#: collide with the source's, so the gemm kernel must be told that no
-#: row matches any ``point_body`` entry (-1 marks non-point nodes,
-#: hence -2).
-_FOREIGN_BODY_ID = INDEX(-2)
+from repro.types import INDEX
 
 
 def let_node_bytes(dim: int, multipole_order: int = 1) -> float:
@@ -130,146 +120,44 @@ def build_let_plan(
     return LETPlan(src, dests, visited, emitted, n_bytes)
 
 
-@dataclass
-class RemoteEvalStats:
-    """Accounting of one cross-rank force contribution."""
-
-    lists: InteractionLists
-    pairs: int
-    quad_terms: int
-    #: Dual-traversal remote evaluations carry their DualLists here
-    #: (None for grouped); the runtime then accounts the M2L/downsweep
-    #: work on top of the near-field tile work.
-    dual: object | None = None
-    quad_far: int = 0
-    #: Flat-evaluation stats (zero for the tile kernels).  Remote halo
-    #: tiles are one-sided by construction — the mirror pair lives on
-    #: the other rank — so n3l is disabled and only the launch count is
-    #: ever non-zero here.
-    flat_launches: int = 0
-    near_pairs_naive: int = 0
-    near_pairs_evaluated: int = 0
-
-
 def remote_accelerations(
     view: TreeView,
-    groups: BodyGroups,
-    x_sorted: np.ndarray,
-    theta: float,
+    x_src: np.ndarray,
+    m_src: np.ndarray,
+    x_dst: np.ndarray,
+    config,
+    ctx=None,
     *,
-    G: float = 1.0,
-    eps2: float = 0.0,
-    eval_mode: str = "auto",
-    x_src: np.ndarray | None = None,
-    m_src: np.ndarray | None = None,
-    traversal: str = "grouped",
-    cc_mac: float = 1.5,
-    expansion_order: int = 2,
-) -> tuple[np.ndarray, RemoteEvalStats]:
-    """Force of one source rank's tree on a destination's body groups.
+    launches: float | None = None,
+) -> np.ndarray:
+    """Force of one source rank's tree on a destination rank's bodies.
 
-    *groups* / *x_sorted* are the destination rank's Hilbert-contiguous
-    groups and sorted positions (``group_size = 1`` reproduces the
-    per-body MAC of the lockstep kernels).  Bucket leaves of the source
-    tree (octree duplicate-cell chains) are expanded exactly through
-    ``view.exact_bodies`` against the source arrays *x_src* / *m_src*.
+    *view* is the source rank's tree over its bodies *x_src* / *m_src*
+    (which its bucket leaves expand against); *x_dst* are the
+    destination's Hilbert-contiguous positions.  The evaluation is
+    :func:`repro.traversal.driver.tree_accelerations` with *x_dst* as
+    foreign targets, charged to *ctx* like a local grouped/dual force;
+    *launches* overrides its launch charge, so a rank that evaluates
+    every halo back to back pays one launch pair.  The lockstep
+    traversal runs as one-body groups (its per-body MAC).
 
-    ``traversal="dual"`` runs the cell-cell walk against the source
-    tree instead.  This stays inside the one-sided LET halo: the dual
-    walk only opens a source node that fails the conservative MAC
+    A ``traversal="dual"`` config runs the cell-cell walk against the
+    source tree instead.  This stays inside the one-sided LET halo: the
+    dual walk only opens a source node that fails the conservative MAC
     against some target box contained in the destination domain, and
     failing the easier domain-level criterion is exactly what put the
     node's children into the LET in the first place.
     """
-    dual = None
-    quad_far = 0
-    if traversal == "dual":
-        # Deferred import: repro.traversal.dual pulls in the BVH
-        # package, which this module must not load at import time.
-        from repro.traversal.dual import (
-            build_dual_lists,
-            build_target_tree,
-            evaluate_dual,
-        )
+    # Deferred import: the driver pulls in the BVH package, which this
+    # module must not load at import time.
+    from repro.traversal.driver import tree_accelerations
 
-        tt = build_target_tree(groups)
-        dual = build_dual_lists(view, tt, theta, cc_mac=cc_mac)
-        lists = dual.near
-        acc, stats = evaluate_dual(
-            view, dual, groups, x_sorted,
-            G=G, eps2=eps2, mode=eval_mode,
-            body_ids=np.full(x_sorted.shape[0], _FOREIGN_BODY_ID,
-                             dtype=INDEX),
-            expansion_order=expansion_order,
-        )
-        quad_far = stats["quad_far"]
-    else:
-        lists = build_interaction_lists(view, groups, theta)
-        acc, stats = evaluate_interaction_lists(
-            view, lists, groups, x_sorted,
-            G=G, eps2=eps2, mode=eval_mode,
-            body_ids=np.full(x_sorted.shape[0], _FOREIGN_BODY_ID,
-                             dtype=INDEX),
-        )
-    pairs = stats["pairs"]
-    if lists.exact_groups.size:
-        if view.exact_bodies is None or x_src is None or m_src is None:
-            raise ValueError(
-                "source tree has bucket leaves; need exact_bodies, x_src, m_src")
-        go = groups.offsets
-        for g, node in zip(lists.exact_groups, lists.exact_nodes):
-            bodies = view.exact_bodies(int(node))
-            if not bodies:
-                continue
-            xb = x_src[bodies]
-            mb = m_src[bodies]
-            rows = slice(int(go[g]), int(go[g + 1]))
-            d = xb[None, :, :] - x_sorted[rows][:, None, :]
-            r2 = np.einsum("ijk,ijk->ij", d, d) + eps2
-            with np.errstate(divide="ignore"):
-                w = np.where(r2 > 0.0, G * mb * r2 ** -1.5, 0.0)
-            acc[rows] += np.einsum("ij,ijk->ik", w, d)
-            pairs += w.size
-    return acc, RemoteEvalStats(
-        lists, pairs, stats["quad_terms"], dual=dual, quad_far=quad_far,
-        flat_launches=stats.get("flat_launches", 0),
-        near_pairs_naive=stats.get("near_pairs_naive", 0),
-        near_pairs_evaluated=stats.get("near_pairs_evaluated", 0),
+    lockstep = config.traversal == "lockstep"
+    return tree_accelerations(
+        view, x_src, m_src, config.gravity,
+        traversal="grouped" if lockstep else config.traversal,
+        theta=config.theta, group_size=1 if lockstep else config.group_size,
+        cc_mac=config.cc_mac, expansion_order=config.expansion_order,
+        ctx=ctx, simt_width=config.simt_width, eval_mode=config.eval_mode,
+        targets=x_dst, launches=launches,
     )
-
-
-def halo_point_accelerations(
-    x_targets: np.ndarray,
-    halo_x: np.ndarray,
-    halo_m: np.ndarray,
-    *,
-    G: float = 1.0,
-    eps2: float = 0.0,
-    halo_quad: np.ndarray | None = None,
-    tile: int = 2048,
-) -> np.ndarray:
-    """Direct evaluation of imported halo point masses / multipoles.
-
-    Utility for callers that materialize a flat halo (e.g. the exact
-    ``theta = 0`` exchange); the runtime's standard path goes through
-    :func:`remote_accelerations` instead.
-    """
-    x_targets = np.asarray(x_targets, dtype=FLOAT)
-    nt, dim = x_targets.shape
-    acc = np.zeros((nt, dim), dtype=FLOAT)
-    if halo_x.shape[0] == 0:
-        return acc
-    for s in range(0, nt, tile):
-        xt = x_targets[s:s + tile]
-        d = halo_x[None, :, :] - xt[:, None, :]
-        r2 = np.einsum("ijk,ijk->ij", d, d) + eps2
-        with np.errstate(divide="ignore"):
-            w = np.where(r2 > 0.0, G * halo_m * r2 ** -1.5, 0.0)
-        acc[s:s + tile] = np.einsum("ij,ijk->ik", w, d)
-        if halo_quad is not None:
-            b, k = xt.shape[0], halo_x.shape[0]
-            qt = np.broadcast_to(halo_quad, (b, k, dim, dim)).reshape(-1, dim, dim)
-            acc[s:s + tile] += quadrupole_accel(
-                d.reshape(-1, dim), r2.reshape(-1), qt, G
-            ).reshape(b, k, dim).sum(axis=1)
-    return acc

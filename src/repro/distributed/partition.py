@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.geometry.aabb import AABB, compute_bounding_box, cubify, quantize_to_grid
 from repro.geometry.hilbert import hilbert_encode
-from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D
+from repro.geometry.morton import max_bits
 from repro.types import FLOAT, INDEX
 
 DECOMPOSITION_MODES = ("static", "weighted")
@@ -32,7 +32,7 @@ def hilbert_keys(x: np.ndarray, box: AABB, *, bits: int | None = None) -> np.nda
     x = np.asarray(x, dtype=FLOAT)
     n, dim = x.shape
     if bits is None:
-        bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
+        bits = max_bits(dim)
     if n == 0:
         return np.zeros(0, dtype=np.uint64)
     return hilbert_encode(quantize_to_grid(x, cubify(box), bits), bits)

@@ -18,8 +18,9 @@ distributed phases::
                 per-rank local trees (the existing kernels, verbatim)
     exchange    LET halo selection + fabric transfer of halo nodes
     force       local tree force + cross-rank force against every
-                remote tree (the walk provably stays inside the
-                exchanged LET; see repro.distributed.let)
+                remote tree, both through the one force driver
+                (repro.traversal.driver; the remote walk provably stays
+                inside the exchanged LET, see repro.distributed.let)
 
 ``ranks=1`` never reaches this module — ``core.Simulation`` bypasses it
 entirely, so the single-rank path stays bit-identical to the kernels.
@@ -42,14 +43,11 @@ from repro.distributed.let import (
 from repro.distributed.partition import DomainDecomposition, decompose
 from repro.errors import ConfigurationError
 from repro.geometry.aabb import compute_bounding_box, cubify
-from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D
+from repro.geometry.morton import max_bits
 from repro.machine.costmodel import CostModel
 from repro.machine.counters import StepCounters
 from repro.maintenance.disorder import coarsen_keys, key_disorder, sense_bits
 from repro.stdpar.context import ExecutionContext
-from repro.traversal.dual import account_dual_force
-from repro.traversal.engine import account_grouped_force
-from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
 
 #: Wire size of one migrated body: position + velocity + mass.
@@ -200,7 +198,6 @@ class DistributedRuntime:
 
         acc = np.zeros((n, dim), dtype=FLOAT)
         with self.ctx.step("force"):
-            gs = cfg.group_size if cfg.traversal in ("grouped", "dual") else 1
             for d in range(K):
                 if counts[d] == 0:
                     continue
@@ -208,45 +205,17 @@ class DistributedRuntime:
                 with rc.step("force"):
                     acc_d = self.algo.force(trees[d], xr[d], mr[d], cfg, rc,
                                             view=views[d])
-                    groups_d = make_groups(xr[d], gs)
                     # All remote halos are walked and evaluated back to
                     # back in one batched launch pair; the fixed launch
                     # overhead is charged on the first source only.
-                    remote_launches = 2.0
+                    launches = 2.0
                     for s in range(K):
                         if s == d or counts[s] == 0:
                             continue
-                        acc_c, st = remote_accelerations(
-                            views[s], groups_d, xr[d], cfg.theta,
-                            G=cfg.gravity.G, eps2=cfg.gravity.eps2,
-                            eval_mode=cfg.eval_mode,
-                            x_src=xr[s], m_src=mr[s],
-                            traversal=cfg.traversal
-                            if cfg.traversal == "dual" else "grouped",
-                            cc_mac=cfg.cc_mac,
-                            expansion_order=cfg.expansion_order,
-                        )
-                        acc_d += acc_c
-                        common = dict(
-                            n_bodies=int(counts[d]), dim=dim,
-                            simt_width=cfg.simt_width,
-                            pairs=st.pairs, quad_terms=st.quad_terms,
-                            visit_bytes=views[s].visit_bytes, built=True,
-                            flops_per_visit=views[s].flops_per_visit,
-                            launches=remote_launches,
-                            flat_launches=st.flat_launches,
-                            near_pairs_naive=st.near_pairs_naive,
-                            near_pairs_evaluated=st.near_pairs_evaluated,
-                        )
-                        if st.dual is not None:
-                            account_dual_force(
-                                rc.counters, st.dual, groups_d,
-                                quad_far=st.quad_far,
-                                expansion_order=cfg.expansion_order, **common)
-                        else:
-                            account_grouped_force(
-                                rc.counters, st.lists, groups_d, **common)
-                        remote_launches = 0.0
+                        acc_d += remote_accelerations(
+                            views[s], xr[s], mr[s], xr[d], cfg, rc,
+                            launches=launches)
+                        launches = 0.0
                     acc[members[d]] = acc_d
 
         # Roll per-rank counters into the session's machine counters.
@@ -357,11 +326,8 @@ class DistributedRuntime:
         lets the per-rank BVH sorts reuse the global keys.
         """
         box = compute_bounding_box(x)
-        dim = x.shape[1]
-        if self.config.bits is not None:
-            bits = self.config.bits
-        else:
-            bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
+        bits = (self.config.bits if self.config.bits is not None
+                else max_bits(x.shape[1]))
         return box, self._keycache.keys(x, box, bits=bits, curve="hilbert")
 
     def _charge_partition_ranks(self, decomp, dim: int) -> None:
@@ -440,12 +406,7 @@ class DistributedRuntime:
                 if xr[r].shape[0] == 0:
                     continue
                 rc = self.rank_ctx[r]
-                with rc.step("bounding_box"):
-                    box = compute_bounding_box(xr[r])
-                    rc.counters.add(
-                        flops=2.0 * xr[r].size, bytes_read=8.0 * xr[r].size,
-                        loop_iterations=float(xr[r].shape[0]), kernel_launches=1.0,
-                    )
+                box = self.algo._bounding_box(xr[r], rc)
                 with rc.step(hooks.build_step):
                     # Global curve keys from the partitioner, when
                     # handed down, stand in for the per-rank encode:
@@ -505,10 +466,8 @@ class DistributedRuntime:
             n, dim = x.shape
             disp = np.sqrt(((x - ep["x_ref"]) ** 2).sum(axis=1))
             drift = float(disp.max(initial=0.0))
-            if self.config.bits is not None:
-                bits = self.config.bits
-            else:
-                bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
+            bits = (self.config.bits if self.config.bits is not None
+                    else max_bits(dim))
             sb = sense_bits(n, dim, occupancy=self.config.group_size)
             stats = key_disorder(
                 coarsen_keys(keys[ep["decomp"].order], bits, sb, dim))

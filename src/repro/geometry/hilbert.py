@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.types import CODE
-from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D
+from repro.geometry.morton import max_bits
 
 _U = np.uint64
 
@@ -29,9 +29,9 @@ def _check(grid: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     if grid.ndim != 2 or grid.shape[1] not in (2, 3):
         raise ValueError(f"grid coordinates must be (N, 2) or (N, 3), got {grid.shape}")
     dim = grid.shape[1]
-    max_bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
-    if not 1 <= bits <= max_bits:
-        raise ValueError(f"bits must be in [1, {max_bits}] for dim={dim}, got {bits}")
+    top = max_bits(dim)
+    if not 1 <= bits <= top:
+        raise ValueError(f"bits must be in [1, {top}] for dim={dim}, got {bits}")
     g = grid.astype(CODE)
     if np.any(g >= (_U(1) << _U(bits))):
         raise ValueError(f"grid coordinate out of range for bits={bits}")

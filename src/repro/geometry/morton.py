@@ -17,6 +17,15 @@ from repro.types import CODE
 MAX_BITS_3D = 21
 MAX_BITS_2D = 31
 
+
+def max_bits(dim: int) -> int:
+    """Finest per-dimension grid whose *dim*-way key fits 64 bits.
+
+    Tree orders only ever compare keys, so the finest grid is the
+    safely conservative default wherever a caller names no ``bits``.
+    """
+    return MAX_BITS_3D if dim == 3 else MAX_BITS_2D
+
 _U = np.uint64
 
 
@@ -69,9 +78,9 @@ def _check(grid: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     if grid.ndim != 2 or grid.shape[1] not in (2, 3):
         raise ValueError(f"grid coordinates must be (N, 2) or (N, 3), got {grid.shape}")
     dim = grid.shape[1]
-    max_bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
-    if not 1 <= bits <= max_bits:
-        raise ValueError(f"bits must be in [1, {max_bits}] for dim={dim}, got {bits}")
+    top = max_bits(dim)
+    if not 1 <= bits <= top:
+        raise ValueError(f"bits must be in [1, {top}] for dim={dim}, got {bits}")
     g = grid.astype(CODE)
     limit = _U(1) << _U(bits)
     if np.any(g >= limit):
@@ -101,11 +110,11 @@ def morton_decode(code: np.ndarray, bits: int, dim: int) -> np.ndarray:
     code = np.asarray(code, dtype=CODE)
     if code.ndim != 1:
         raise ValueError("codes must be a 1-D array")
-    max_bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if not 1 <= bits <= max_bits:
-        raise ValueError(f"bits must be in [1, {max_bits}] for dim={dim}")
+    top = max_bits(dim)
+    if not 1 <= bits <= top:
+        raise ValueError(f"bits must be in [1, {top}] for dim={dim}")
     out = np.empty((code.shape[0], dim), dtype=CODE)
     if dim == 3:
         out[:, 0] = _compact1by2(code)

@@ -31,13 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bvh.build import (
-    assemble_bvh,
-    default_sort_bits,
-    hilbert_sort_permutation,
-    refit_bvh,
-)
+from repro.bvh.build import assemble_bvh, hilbert_sort_permutation, refit_bvh
 from repro.machine.counters import Counters
+from repro.geometry.morton import max_bits
 from repro.machine.costmodel import CostModel
 from repro.maintenance.disorder import coarsen_keys, key_disorder, sense_bits
 from repro.maintenance.drift import (
@@ -119,7 +115,7 @@ class TreeMaintainer:
         config, ctx = self.config, self.ctx
         x = system.x
         n, dim = x.shape
-        bits = config.bits if config.bits is not None else default_sort_bits(dim)
+        bits = config.bits if config.bits is not None else max_bits(dim)
         have = self._bvh is not None and self._bvh.n_bodies == n
         decision = self._decide(
             x, bits, config.curve, have,
@@ -127,7 +123,7 @@ class TreeMaintainer:
             box=self._bvh.box if have else None,
         )
         if decision.action == "rebuild":
-            box = algo._bounding_box(system, ctx)
+            box = algo._bounding_box(x, ctx)
             with ctx.step("encode"):
                 keys = self.keycache.keys(x, box, bits=bits,
                                           curve=config.curve, ctx=ctx)
@@ -162,7 +158,7 @@ class TreeMaintainer:
         config, ctx = self.config, self.ctx
         x = system.x
         n, dim = x.shape
-        bits = default_sort_bits(dim)  # grouped-traversal order grid
+        bits = max_bits(dim)  # grouped-traversal order grid
         have = self._pool is not None and self._pool.n_bodies == n
         decision = self._decide(
             x, bits, "hilbert", have,
@@ -170,7 +166,7 @@ class TreeMaintainer:
             box=self._pool.box if have else None,
         )
         if decision.action == "rebuild":
-            box = algo._bounding_box(system, ctx)
+            box = algo._bounding_box(x, ctx)
             with ctx.step("build_tree"):
                 self._pool = builder(box)
             if self.policy.senses:

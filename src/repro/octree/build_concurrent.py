@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.errors import AllocatorExhausted
 from repro.geometry.aabb import AABB, compute_bounding_box, quantize_to_grid
-from repro.geometry.morton import morton_encode, morton_child_digits
-from repro.octree.build_vectorized import default_bits
+from repro.geometry.morton import max_bits, morton_child_digits, morton_encode
 from repro.octree.layout import EMPTY, LOCKED, OctreePool, decode_body, encode_body
 from repro.stdpar.atomics import AtomicArray, acquire, relaxed, release
 from repro.stdpar.context import ExecutionContext
@@ -113,7 +112,7 @@ def build_octree_concurrent(
     """
     x = np.asarray(x, dtype=float)
     n, dim = x.shape
-    bits = default_bits(dim) if bits is None else bits
+    bits = max_bits(dim) if bits is None else bits
     if box is None:
         box = compute_bounding_box(x) if n else AABB.empty(dim)
     if ctx is None:

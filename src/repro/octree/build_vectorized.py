@@ -16,13 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.aabb import AABB, compute_bounding_box, quantize_to_grid
-from repro.geometry.morton import morton_encode, MAX_BITS_2D, MAX_BITS_3D
+from repro.geometry.morton import max_bits, morton_encode
 from repro.octree.layout import EMPTY, OctreePool, encode_body
 from repro.types import INDEX
-
-
-def default_bits(dim: int) -> int:
-    return MAX_BITS_3D if dim == 3 else MAX_BITS_2D
 
 
 def _ranges_to_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -56,7 +52,7 @@ def build_octree_vectorized(
     """
     x = np.asarray(x, dtype=float)
     n, dim = x.shape
-    bits = default_bits(dim) if bits is None else bits
+    bits = max_bits(dim) if bits is None else bits
     if box is None:
         box = compute_bounding_box(x) if n else AABB.empty(dim)
 

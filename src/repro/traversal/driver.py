@@ -1,13 +1,15 @@
-"""The grouped / dual force driver, shared by every tree.
+"""The grouped / dual force driver, shared by every tree and caller.
 
 Both trees reach CALCULATEFORCE's group-coherent forms through this one
 function: it sees the tree only as a :class:`~repro.traversal.engine.
 TreeView` (per-node arrays plus the tree's body order, bucket-leaf
 callback and accounting constants), so the list cache, the evaluator
 choice, the per-epoch precomputes, the exact bucket-leaf expansion, the
-accounting and the un-permute exist once.  The paper's per-body
-lockstep kernels (``repro.octree.force`` / ``repro.bvh.force``) stay
-separate as the bit-exact references.
+accounting and the un-permute exist once.  The distributed runtime's
+cross-rank halo force is the same call with another rank's bodies as
+foreign targets.  The paper's per-body lockstep kernels
+(``repro.octree.force`` / ``repro.bvh.force``) stay separate as the
+bit-exact references.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from repro.geometry.aabb import quantize_to_grid
 from repro.geometry.hilbert import hilbert_encode
-from repro.geometry.morton import MAX_BITS_2D, MAX_BITS_3D
+from repro.geometry.morton import max_bits
 from repro.physics.gravity import GravityParams
 from repro.traversal.dual import (
     account_dual_force,
@@ -34,13 +36,19 @@ from repro.traversal.engine import (
 )
 from repro.traversal.flat import build_flat_lists
 from repro.traversal.groups import make_groups
-from repro.types import FLOAT
+from repro.types import FLOAT, INDEX
+
+#: body_ids sentinel for foreign targets: another rank's bodies can
+#: never be this tree's point leaves, but their *local* indices can
+#: collide with the source's, so the evaluators must be told that no
+#: row matches any ``point_body`` entry (-1 marks non-point nodes,
+#: hence -2).  Negative ids also switch off flat's n3l pairing.
+_FOREIGN_BODY_ID = INDEX(-2)
 
 
 def hilbert_body_order(x: np.ndarray, box) -> np.ndarray:
     """Hilbert-curve permutation of bodies the tree leaves unsorted."""
-    n, dim = x.shape
-    bits = MAX_BITS_3D if dim == 3 else MAX_BITS_2D
+    bits = max_bits(x.shape[1])
     keys = hilbert_encode(quantize_to_grid(x, box, bits), bits)
     return np.argsort(keys, kind="stable")
 
@@ -61,6 +69,8 @@ def tree_accelerations(
     cache: dict | None = None,
     eval_mode: str = "auto",
     mac_margin: float = 0.0,
+    targets: np.ndarray | None = None,
+    launches: float | None = None,
 ) -> np.ndarray:
     """Accelerations of bodies *x*/*m* (caller order) over the tree *view*.
 
@@ -79,12 +89,21 @@ def tree_accelerations(
     inflates the opening radius of freshly built lists (the
     drift-bounded MAC of :mod:`repro.maintenance`).
 
+    *targets*, when given, are foreign target positions (another rank's
+    bodies, already in curve order) evaluated against the tree over
+    *x*/*m*, which then only serve its bucket leaves: no sort, no
+    Newton's-third-law pairing, the result in target order.
+    *launches* overrides the kernel-launch charge (see
+    :func:`~repro.traversal.engine.account_grouped_force`).
+
     At ``group_size=1`` (monopole order) the grouped result is
     bit-identical to the lockstep kernels, and ``cc_mac=0`` makes the
     dual result bit-identical to the grouped one.
     """
     x = np.asarray(x, dtype=FLOAT)
-    n, dim = x.shape
+    foreign = targets is not None
+    xt = np.asarray(targets, dtype=FLOAT) if foreign else x
+    n, dim = xt.shape
     if n == 0 or view.mass.shape[0] == 0:
         return np.zeros((n, dim), dtype=FLOAT)
 
@@ -94,10 +113,13 @@ def tree_accelerations(
            else ("ilists", float(theta), int(group_size)))
     cached = cache.get(key) if cache is not None else None
     built = cached is None or cached["groups"].n_bodies != n
-    sorts = view.body_order is None
+    sorts = not foreign and view.body_order is None
     if built:
-        perm = hilbert_body_order(x, view.box) if sorts else view.body_order
-        groups = make_groups(x[perm], group_size)
+        if foreign:
+            perm = None
+        else:
+            perm = hilbert_body_order(x, view.box) if sorts else view.body_order
+        groups = make_groups(xt if foreign else x[perm], group_size)
         cached = {"perm": perm, "groups": groups}
         if dual:
             cached["dual"] = build_dual_lists(
@@ -114,8 +136,10 @@ def tree_accelerations(
     perm = cached["perm"]
     groups = cached["groups"]
     lists = cached["lists"]
+    x_sorted = xt if foreign else x[perm]
     # point_body ids are sorted rows when the tree fixes the body order.
-    body_ids = perm if sorts else None
+    body_ids = (np.full(n, _FOREIGN_BODY_ID, dtype=INDEX) if foreign
+                else perm if sorts else None)
 
     mode = resolve_eval_mode(eval_mode, groups, amortized=cache is not None)
     # Per-epoch precomputes live inside the cached entry, so the
@@ -135,16 +159,16 @@ def tree_accelerations(
             self_pairs = cached["selfpairs"] = build_self_pairs(
                 view, lists, groups, body_ids=body_ids)
 
-    m_sorted = np.asarray(m, dtype=FLOAT)[perm]
+    m_sorted = None if foreign else np.asarray(m, dtype=FLOAT)[perm]
     kw = dict(G=params.G, eps2=params.eps2, body_ids=body_ids, mode=mode,
               flat=flat, m_sorted=m_sorted, self_pairs=self_pairs)
     if dual:
-        acc_s, stats = evaluate_dual(view, cached["dual"], groups, x[perm],
+        acc_s, stats = evaluate_dual(view, cached["dual"], groups, x_sorted,
                                      expansion_order=expansion_order,
                                      ctx=ctx, **kw)
     else:
         acc_s, stats = evaluate_interaction_lists(view, lists, groups,
-                                                  x[perm], **kw)
+                                                  x_sorted, **kw)
 
     # Exact expansion of bucket leaves (same scalar math as lockstep).
     pairs = stats["pairs"]
@@ -155,11 +179,11 @@ def tree_accelerations(
         for g, node in zip(lists.exact_groups, lists.exact_nodes):
             bodies = view.exact_bodies(int(node))
             for row in range(int(go[g]), int(go[g + 1])):
-                i = int(perm[row])
+                i = -1 if foreign else int(perm[row])
                 for b in bodies:
                     if b == i:
                         continue
-                    d = x[b] - x[i]
+                    d = x[b] - x_sorted[row]
                     r2b = float(d @ d) + eps2
                     if r2b > 0.0:
                         acc_s[row] += G * m[b] * r2b**-1.5 * d
@@ -176,6 +200,7 @@ def tree_accelerations(
             flat_launches=stats["flat_launches"],
             near_pairs_naive=stats["near_pairs_naive"],
             near_pairs_evaluated=stats["near_pairs_evaluated"],
+            launches=launches,
         )
         if dual:
             account_dual_force(ctx.counters, cached["dual"], groups,
@@ -184,6 +209,8 @@ def tree_accelerations(
         else:
             account_grouped_force(ctx.counters, lists, groups, **common)
 
+    if foreign:
+        return acc_s
     out = np.empty_like(acc_s)
     out[perm] = acc_s
     return out

@@ -3,7 +3,7 @@ here extend to multipoles")."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bvh.build import build_bvh
@@ -71,11 +71,15 @@ class TestTensorMath:
         assert np.allclose(out, 0.0)
 
     @given(st.integers(0, 2**32 - 1), st.floats(2.0, 50.0))
-    @settings(max_examples=40, deadline=None)
+    @example(seed=7654, dist=2.0)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_expansion_converges_quadratically_better(self, seed, dist):
-        """Property: at distance R from a cluster of extent s, the
-        quadrupole expansion error is O((s/R)^2) smaller than the
-        monopole's."""
+        """Property: at distance R from a cluster of extent b, the
+        quadrupole expansion error obeys the third-order remainder
+        bound M/R^2 * sum_{n>=3} (n+1) t^n, t = b/R (from
+        |grad(P_n/r^{n+1})| <= (n+1)/r^{n+2}).  "Quadrupole error <=
+        monopole error" pointwise is not a theorem (seed=7654, dist=2
+        breaks it)."""
         rng = np.random.default_rng(seed)
         x = rng.random((30, 3)) * 0.3
         m = rng.random(30) + 0.1
@@ -87,9 +91,10 @@ class TestTensorMath:
         r2 = float(dvec @ dvec)
         mono = m.sum() * r2**-1.5 * dvec
         with_q = mono + quadrupole_accel(dvec[None], np.array([r2]), q[None], 1.0)[0]
-        e_mono = np.linalg.norm(mono - exact)
         e_quad = np.linalg.norm(with_q - exact)
-        assert e_quad <= e_mono + 1e-15
+        t = np.linalg.norm(x - com, axis=1).max() / np.sqrt(r2)
+        bound = m.sum() / r2 * (1.0 / (1.0 - t) ** 2 - 1.0 - 2.0 * t - 3.0 * t * t)
+        assert e_quad <= bound
 
     def test_quadrupole_accel_zero_distance_guard(self):
         out = quadrupole_accel(np.zeros((1, 3)), np.zeros(1), np.ones((1, 3, 3)), 1.0)
