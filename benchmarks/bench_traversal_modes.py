@@ -13,10 +13,16 @@ cached — the three list evaluators:
   is exactly what a rebuild-every-step ``Simulation`` pays per step;
 * ``tile+cache``   — cached lists, per-group dense-tile evaluation (the
   deterministic reference kernel);
-* ``gemm+cache``   — cached lists, per-group BLAS evaluation;
-* ``flat+cache``   — cached lists, flattened SoA batch evaluation with
-  the near field deduped Newton's-third-law style (the default ``auto``
-  pick for multi-body groups).
+* ``gemm+cache``   — cached lists, every entry a node source in dense
+  BLAS batches;
+* ``flat+cache``   — cached lists, batch evaluation with the near
+  field deduped Newton's-third-law style (the default ``auto`` pick for
+  multi-body groups); ``gemm+cache`` is the same batches without the
+  dedup.
+
+The three cached evaluators run again on order-2 (quadrupole) trees;
+those rows carry ``multipole_order: 2`` in their config, and their
+error against the order-2 tile rows.
 
 Usage::
 
@@ -85,17 +91,23 @@ def _records(rows: list[dict], n: int) -> list[BenchRecord]:
     """Rows in the shared BENCH_*.json schema (repro.bench.record)."""
     out = []
     for r in rows:
-        extra: dict = {"rel_l2_vs_lockstep": r["rel_l2_vs_lockstep"],
-                       "host": {"speedup": r["speedup"]}}
-        if r["mode"] == "flat+build":
+        order = r.get("order", 1)
+        if order == 1:
+            extra: dict = {"rel_l2_vs_lockstep": r["rel_l2_vs_lockstep"],
+                           "host": {"speedup": r["speedup"]}}
+        else:
+            extra = {"host": {}}
+        if r["mode"] == "flat+build" or order == 2:
             extra["host"]["seconds"] = r["seconds"]
         for k in ("interactions", "rel_l2_vs_tile", "n3l_dedup_ratio"):
             if k in r:
                 extra[k] = r[k]
+        config = {"tree": r["tree"], "mode": r["mode"], "theta": THETA,
+                  "group_size": GROUP_SIZE, "softening": PARAMS.softening}
+        if order == 2:
+            config["multipole_order"] = 2
         out.append(BenchRecord(
-            workload="galaxy", n=n,
-            config={"tree": r["tree"], "mode": r["mode"], "theta": THETA,
-                    "group_size": GROUP_SIZE, "softening": PARAMS.softening},
+            workload="galaxy", n=n, config=config,
             host_seconds=r["seconds"], model_seconds=r.get("model_seconds"),
             extra=extra,
             metrics=(_metrics_block(r["n3l_dedup_ratio"])
@@ -196,6 +208,33 @@ def sweep(n: int, *, group_size: int = GROUP_SIZE, reps: int = 3) -> list[dict]:
             "rel_l2_vs_lockstep": relative_l2_error(a_build, a_lock),
             "bitwise_vs_cache": bool(np.array_equal(a_build, accs["flat"])),
         })
+
+    # Order 2: the cached evaluators with quadrupole terms, timed
+    # against the order-2 tile rows.
+    compute_multipoles_vectorized(pool, x, m, None, order=2)
+    bvh2 = build_bvh(x, m, order=2)
+    views2 = {"octree": octree_tree_view(pool), "bvh": bvh_tree_view(bvh2)}
+    for tree, view in views2.items():
+        def grouped2(c, mode, ctx=None, view=view):
+            return tree_accelerations(view, x, m, PARAMS, theta=THETA,
+                                      group_size=group_size, cache=c,
+                                      eval_mode=mode, ctx=ctx)
+
+        cache = {}
+        tile = None
+        for mode in EVAL_MODES:                        # tile first
+            grouped2(cache, mode)                      # warm precomputes
+            steady = ExecutionContext()
+            acc = grouped2(cache, mode, steady)
+            tile = acc if tile is None else tile
+            rows.append({
+                "tree": tree, "mode": f"{mode}+cache", "order": 2,
+                "seconds": _best_of(lambda: grouped2(cache, mode), reps),
+                "model_seconds": model.step_time(steady.counters).total,
+                "interactions": float(
+                    steady.counters.list_eval_interactions),
+                "rel_l2_vs_tile": relative_l2_error(acc, tile),
+            })
     return rows
 
 
@@ -205,8 +244,9 @@ def _report(rows: list[dict], n: int) -> str:
                     f"group_size={GROUP_SIZE} (host wall clock)")
 
 
-def _by(rows: list[dict]) -> dict:
-    return {(r["tree"], r["mode"]): r for r in rows}
+def _by(rows: list[dict], order: int = 1) -> dict:
+    return {(r["tree"], r["mode"]): r for r in rows
+            if r.get("order", 1) == order}
 
 
 def run(n: int, *, reps: int, min_speedup: float | None,
@@ -260,6 +300,18 @@ def run(n: int, *, reps: int, min_speedup: float | None,
             print(f"FAIL: {tree} n3l dedup ratio "
                   f"{flat['n3l_dedup_ratio']:.3f} < required {min_dedup}")
             status = 1
+    by2 = _by(rows, order=2)
+    for tree in ("octree", "bvh"):
+        t_tile = by2[(tree, "tile+cache")]["seconds"]
+        for mode in ("gemm+cache", "flat+cache"):
+            r = by2[(tree, mode)]
+            print(f"{tree} order 2: {mode} {r['seconds']:.3f} s "
+                  f"({t_tile / r['seconds']:.2f}x tile), rel L2 vs tile "
+                  f"{r['rel_l2_vs_tile']:.2e}")
+            if not r["rel_l2_vs_tile"] < 1e-12:
+                print(f"FAIL: {tree} order-2 {mode} deviates from tile by "
+                      f"{r['rel_l2_vs_tile']:.3g} (>1e-12)")
+                status = 1
     if status == 0 and min_speedup is not None:
         msg = f"OK: grouped >= {min_speedup}x over lockstep"
         if min_flat_vs_tile is not None:
@@ -309,6 +361,8 @@ if pytest is not None:
             assert flat["n3l_dedup_ratio"] > 1.1
             assert flat["speedup"] > 1.0
             assert by[(tree, "flat+build")]["bitwise_vs_cache"]
+            for mode in ("gemm+cache", "flat+cache"):
+                assert _by(rows, 2)[(tree, mode)]["rel_l2_vs_tile"] < 1e-12
 
 
 if __name__ == "__main__":

@@ -20,11 +20,17 @@ import sys
 
 import numpy as np
 
+from repro.core.config import (
+    ALGORITHM_NAMES,
+    EVAL_MODES,
+    TRAVERSALS,
+    TREE_UPDATE_MODES,
+)
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algorithm", default="octree",
-                   choices=["all-pairs", "all-pairs-col", "octree", "bvh",
-                            "octree-2stage"])
+                   choices=ALGORITHM_NAMES)
     p.add_argument("--n", type=int, default=10_000, help="number of bodies")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
@@ -287,17 +293,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--traversal", default="lockstep",
-                   choices=["lockstep", "grouped", "dual"],
+                   choices=TRAVERSALS,
                    help="force traversal: per-body lockstep, group-coherent, "
                         "or dual-tree cell-cell with local expansions")
     p.add_argument("--group-size", type=int, default=32, dest="group_size",
                    help="bodies per traversal group (grouped/dual modes)")
     p.add_argument("--eval-mode", default="auto", dest="eval_mode",
-                   choices=["auto", "tile", "gemm", "flat"],
-                   help="grouped/dual list-evaluation kernel: per-group "
-                        "tiles (tile/gemm) or flattened SoA batch kernels "
-                        "with n3l near-field dedup (flat); auto = flat "
-                        "for multi-body groups")
+                   choices=EVAL_MODES,
+                   help="grouped/dual list evaluator: per-group reference "
+                        "tiles (tile), batch kernels with n3l near-field "
+                        "dedup (flat) or the same batches without it "
+                        "(gemm); auto = tile for one-body groups, else "
+                        "flat at ranks=1 and gemm at ranks>1")
     p.add_argument("--cc-mac", type=float, default=1.5, dest="cc_mac",
                    help="dual mode: target-side opening multiplier of the "
                         "cell-cell MAC (0 disables the far-field branch)")
@@ -322,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
                    dest="inter_interconnect",
                    help="inter-node link class of the hierarchical fabric")
     p.add_argument("--tree-update", default="rebuild", dest="tree_update",
-                   choices=["rebuild", "refit", "auto"],
+                   choices=TREE_UPDATE_MODES,
                    help="tree maintenance: rebuild every step, refit while "
                         "the curve order holds, or cost-model auto policy")
     p.add_argument("--drift-budget", type=float, default=0.01,

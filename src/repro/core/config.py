@@ -17,6 +17,14 @@ ALGORITHM_NAMES = ("all-pairs", "all-pairs-col", "octree", "bvh", "octree-2stage
 #: order stays valid, or let the cost model pick per step.
 TREE_UPDATE_MODES = ("rebuild", "refit", "auto")
 
+#: Force-traversal strategies of the tree algorithms (see
+#: ``SimulationConfig.traversal``).
+TRAVERSALS = ("lockstep", "grouped", "dual")
+
+#: List evaluators of the grouped / dual near field (see
+#: ``SimulationConfig.eval_mode``).
+EVAL_MODES = ("auto", "tile", "gemm", "flat")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -86,17 +94,18 @@ class SimulationConfig:
     #: ``group_size=1`` reproduces the lockstep walk bit for bit (at
     #: monopole order, grouped traversal).
     group_size: int = 32
-    #: Tile kernel of the grouped / dual near field: ``"tile"`` (dense
-    #: per-group tiles, bit-compatible with the lockstep kernels),
-    #: ``"gemm"`` (per-group BLAS), ``"flat"`` (flattened SoA batch
-    #: kernels with Newton's-third-law near-field dedup —
-    #: :mod:`repro.traversal.flat`), or ``"auto"`` (default: tile for
-    #: one-body groups, whose contract is bit-exactness; flat for
-    #: multi-body groups whenever the caller hands the driver an entry
-    #: dict — always the case inside a :class:`Simulation`, though a
-    #: rebuild-every-step run's entry lives for one evaluation, so its
-    #: index expansion is not amortized — and gemm for calls without
-    #: one).  EXPERIMENTS.md measures gemm against flat.
+    #: List evaluator of the grouped / dual near field: ``"tile"``
+    #: (dense per-group tiles, bit-compatible with the lockstep
+    #: kernels), ``"flat"`` (batch kernels with Newton's-third-law
+    #: near-field dedup — :mod:`repro.traversal.flat`), ``"gemm"`` (the
+    #: same batches without the dedup: every list entry a node source),
+    #: or ``"auto"`` (default: tile for one-body groups, whose contract
+    #: is bit-exactness; flat for multi-body groups whenever the caller
+    #: hands the driver an entry dict — always the case for a single-rank
+    #: :class:`Simulation`, though a rebuild-every-step run's entry lives
+    #: for one evaluation — and gemm for calls without one, which
+    #: includes every ``ranks > 1`` force).  EXPERIMENTS.md measures
+    #: gemm against flat.
     eval_mode: str = "auto"
     #: Dual traversal only: target-side opening multiplier of the
     #: symmetric cell-cell MAC.  A pair is retired far-field when the
@@ -177,15 +186,15 @@ class SimulationConfig:
             raise ConfigurationError(
                 "refit_disorder_threshold must be in [0, 1]"
             )
-        if self.traversal not in ("lockstep", "grouped", "dual"):
+        if self.traversal not in TRAVERSALS:
             raise ConfigurationError(
-                "traversal must be 'lockstep', 'grouped' or 'dual'"
+                f"traversal must be one of {TRAVERSALS}, got {self.traversal!r}"
             )
         if not isinstance(self.group_size, int) or self.group_size < 1:
             raise ConfigurationError("group_size must be an integer >= 1")
-        if self.eval_mode not in ("auto", "tile", "gemm", "flat"):
+        if self.eval_mode not in EVAL_MODES:
             raise ConfigurationError(
-                "eval_mode must be 'auto', 'tile', 'gemm' or 'flat'"
+                f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}"
             )
         if not (isinstance(self.cc_mac, (int, float)) and self.cc_mac >= 0):
             raise ConfigurationError("cc_mac must be a non-negative number")

@@ -85,8 +85,10 @@ class Counters:
     comm_messages: float = 0.0
     #: Number of parallel-algorithm invocations (kernel launches).
     kernel_launches: float = 0.0
-    #: Flattened-batch evaluation: SoA kernels launched per step (node
-    #: sources, two-sided pairs, one-sided pairs — at most 3).
+    #: Flat evaluation: batch kernels launched per step — one per dense
+    #: node-source bucket, plus one each for the two-sided and one-sided
+    #: body-pair pools.  gemm reports none: its modeled kernel is the
+    #: grouped tile, charged through ``kernel_launches``.
     flat_launches: float = 0.0
     #: Near-field body pairs the lists name in ordered form (what the
     #: tile kernels would evaluate), before the n3l dedup.

@@ -108,6 +108,9 @@ def build_octree_vectorized(
         sublens = sizes[sub]
         k = len(subnodes)
 
+        # Coincident bodies subdivide down to the maximum depth, which
+        # can outgrow the estimate; grow the pool rather than fail.
+        pool.reserve(pool.n_nodes + k * nch)
         base = pool.allocate_groups(k, parents=subnodes)
         first_child = base + np.arange(k, dtype=INDEX) * nch
         pool.child[subnodes] = first_child

@@ -96,6 +96,13 @@ class OctreePool:
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.box = cubify(self.box)
+        if not self.box.is_empty and self.box.longest_side == 0.0:
+            # All bodies coincide.  Zero-sized cells would pass the MAC
+            # for their own bodies, which sit a rounding error away from
+            # the centre of mass; a side of the coordinates' magnitude
+            # keeps those cells opening down to the bucket leaf.
+            half = 0.5 * max(float(np.abs(self.box.lo).max()), 1.0)
+            self.box = AABB(self.box.lo - half, self.box.lo + half)
         nch = self.nchild
         n_groups = self.capacity // nch + 2
         self.child = np.full(self.capacity, EMPTY, dtype=INDEX)
@@ -147,6 +154,24 @@ class OctreePool:
             gids = (base - 1) // nch + np.arange(n_groups)
             self.parent_of_group[gids] = parents
         return base
+
+    def reserve(self, n_nodes: int) -> None:
+        """Grow the node arrays, keeping their contents, until *n_nodes*
+        nodes fit (capacity doubles).  A no-op while they already fit,
+        so a build that stays within its estimate is left untouched."""
+        cap = self.capacity
+        if n_nodes <= cap:
+            return
+        while cap < n_nodes:
+            cap *= 2
+        for name, fill in (("child", EMPTY), ("depth", 0), ("com_w", 0.0),
+                           ("mass", 0.0), ("count", 0), ("arrivals", 0),
+                           ("parent_of_group", -1)):
+            a = getattr(self, name)
+            size = cap // self.nchild + 2 if name == "parent_of_group" else cap
+            pad = np.full((size - a.shape[0],) + a.shape[1:], fill, a.dtype)
+            setattr(self, name, np.concatenate((a, pad)))
+        self.capacity = cap
 
     def group_of(self, node) -> np.ndarray | int:
         """Sibling-group id of a non-root node."""

@@ -11,12 +11,12 @@ both tree strategies (octree and Hilbert BVH):
 * :mod:`repro.traversal.groups` — Hilbert-contiguous body grouping and
   per-group AABBs;
 * :mod:`repro.traversal.engine` — the generic list-building walk
-  (conservative group MAC), the dense tile evaluator, and the grouped
-  counter accounting;
-* :mod:`repro.traversal.flat` — the flattened-batch evaluator: lists
-  expanded once per epoch into SoA index arrays, evaluated as a few
-  large gather/scatter kernels with the symmetric near field deduped
-  Newton's-third-law style (the production host path);
+  (conservative group MAC), the reference tile evaluator, and the
+  grouped counter accounting;
+* :mod:`repro.traversal.flat` — the batch evaluator: lists prepared
+  once per epoch, node sources evaluated in dense BLAS batches and the
+  symmetric near field deduped Newton's-third-law style (the production
+  host path); without the dedup it is ``eval_mode="gemm"``;
 * :mod:`repro.traversal.dual` — the dual-tree cell-cell walk: a target
   tree over the groups, a symmetric MAC that retires well-separated
   cell pairs once via M2L into local expansions, and the L2L/L2P
@@ -38,11 +38,9 @@ from repro.traversal.engine import (
     KLASS_SKIP,
     InteractionLists,
     TreeView,
-    SelfPairs,
     account_grouped_force,
     account_lockstep_force,
     build_interaction_lists,
-    build_self_pairs,
     evaluate_interaction_lists,
     resolve_eval_mode,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "DualLists",
     "FlatLists",
     "InteractionLists",
-    "SelfPairs",
     "TargetTree",
     "TreeView",
     "KLASS_EXACT",
@@ -87,7 +84,6 @@ __all__ = [
     "build_dual_lists",
     "build_flat_lists",
     "build_interaction_lists",
-    "build_self_pairs",
     "build_target_tree",
     "dual_lists_valid",
     "evaluate_dual",

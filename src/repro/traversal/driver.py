@@ -30,7 +30,6 @@ from repro.traversal.engine import (
     TreeView,
     account_grouped_force,
     build_interaction_lists,
-    build_self_pairs,
     evaluate_interaction_lists,
     resolve_eval_mode,
 )
@@ -144,24 +143,20 @@ def tree_accelerations(
     mode = resolve_eval_mode(eval_mode, groups, amortized=cache is not None)
     # Per-epoch precomputes live inside the cached entry, so the
     # maintainer's list invalidation drops them in the same stroke.
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
+    flat = None
+    if mode != "tile":
+        flat = cached.get(mode)
         if flat is None:
-            # Bucket-leaf bodies fold into the flat near-field pools, so
-            # the scalar exact loop below is skipped in this mode.
-            flat = cached["flat"] = build_flat_lists(
+            # Under flat's n3l, bucket-leaf bodies fold into the
+            # near-field pools and the scalar exact loop below is
+            # skipped; gemm is the same batches without n3l.
+            flat = cached[mode] = build_flat_lists(
                 view, lists, groups, body_ids=body_ids,
-                exact_bodies=view.exact_bodies)
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = cached["selfpairs"] = build_self_pairs(
-                view, lists, groups, body_ids=body_ids)
+                exact_bodies=view.exact_bodies, n3l=mode == "flat")
 
     m_sorted = None if foreign else np.asarray(m, dtype=FLOAT)[perm]
     kw = dict(G=params.G, eps2=params.eps2, body_ids=body_ids, mode=mode,
-              flat=flat, m_sorted=m_sorted, self_pairs=self_pairs)
+              flat=flat, m_sorted=m_sorted)
     if dual:
         acc_s, stats = evaluate_dual(view, cached["dual"], groups, x_sorted,
                                      expansion_order=expansion_order,

@@ -20,7 +20,7 @@ Hilbert-contiguous group boxes), and a simultaneous walk over
   whichever cell is bigger;
 * **near** — pairs reaching a leaf target are the grouped walk:
   accepted nodes and point leaves are emitted into ordinary per-group
-  interaction lists (evaluated by the existing dense tile kernels),
+  interaction lists (evaluated by the grouped evaluators),
   bucket leaves are recorded for exact expansion.
 
 This is the codebase's only list walk.  The grouped build
@@ -375,13 +375,12 @@ def evaluate_dual(
     ctx=None,
     flat=None,
     m_sorted: np.ndarray | None = None,
-    self_pairs=None,
 ) -> tuple[np.ndarray, dict]:
     """Near tiles + far M2L -> L2L downsweep -> L2P, at current positions.
 
     The near side reuses :func:`evaluate_interaction_lists` unchanged
-    (*flat* / *m_sorted* / *self_pairs* are forwarded to it — the
-    flattened-batch precomputes built against ``dual.near``).  When no
+    (*flat* / *m_sorted* are forwarded to it — the batch preparation
+    built against ``dual.near``).  When no
     far pair was accepted (``cc_mac = 0``) the expansion stage is
     skipped entirely — not even zeros are added — so the result is
     bit-identical to the grouped evaluation of the same lists.
@@ -389,7 +388,7 @@ def evaluate_dual(
     acc, stats = evaluate_interaction_lists(
         view, dual.near, groups, x_sorted,
         G=G, eps2=eps2, body_ids=body_ids, mode=mode,
-        flat=flat, m_sorted=m_sorted, self_pairs=self_pairs,
+        flat=flat, m_sorted=m_sorted,
     )
     stats = dict(stats)
     stats.update(m2l_terms=0, l2l_shifts=0, quad_far=0)

@@ -32,24 +32,24 @@ equals the stackless DFS walk's; each group's emissions are then sorted
 by the nodes' precomputed DFS-preorder rank, recovering the exact
 per-body DFS emission order the lockstep kernels accumulate in.
 
-**Evaluation** turns each group's list into a dense ``group x node``
-tile.  Two tile kernels are provided:
+**Evaluation** has two forms:
 
-* ``tile`` — forms ``dvec = com - x`` explicitly and reduces the
+* ``tile`` — turns each group's list into a dense ``group x node``
+  tile, forms ``dvec = com - x`` explicitly and reduces the
   contributions sequentially along the (strided) list axis, which makes
   it bit-compatible with the per-body lockstep kernels' accumulation
-  order; used at ``group_size=1`` where exact equality is the contract.
-* ``gemm`` — rewrites ``sum_k w_k (com_k - x)`` as
-  ``w @ com - (sum_k w_k) x`` so the hot reduction is a BLAS matmul;
-  self-interactions (a body's own leaf in the list) are explicitly
-  zeroed because the expanded form would otherwise difference two huge
-  near-equal products.  Self-pair positions are precomputed once per
-  list epoch (:func:`build_self_pairs`), not rebuilt every step.
-* ``flat`` — :mod:`repro.traversal.flat`: the lists of *all* groups
-  are expanded into flat SoA index arrays once per epoch and evaluated
-  as a few large gather/scatter kernels with the symmetric near field
-  deduped Newton's-third-law style.  This is the production host path
-  for real groups (the ``auto`` default).
+  order; the reference, used at ``group_size=1`` where exact equality
+  is the contract.
+* ``flat`` / ``gemm`` — :mod:`repro.traversal.flat`: the lists of
+  *all* groups are prepared once per epoch and evaluated as a few
+  large batch kernels.  Node sources run in dense batches with the
+  ``x^2 + c^2 - 2 x.c`` algebra, so the hot reduction is a BLAS
+  matmul.  ``flat`` dedupes the symmetric near field Newton's-third-law
+  style (the production host path for cached lists, the ``auto``
+  default there); ``gemm`` is the same kernel without the dedup: every
+  list entry is a node source and each body's own point leaf is
+  zeroed, because the expanded form would otherwise difference two
+  huge near-equal products.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.config import EVAL_MODES
 from repro.geometry.aabb import AABB
 from repro.machine.counters import Counters
 from repro.physics.gravity import FLOPS_PER_INTERACTION, SPECIAL_PER_INTERACTION
@@ -68,7 +69,7 @@ from repro.physics.multipole import (
     quadrupole_accel,
 )
 from repro.traversal.groups import BodyGroups
-from repro.types import FLOAT, INDEX
+from repro.types import FLOAT
 
 KLASS_INTERNAL = 0
 KLASS_POINT = 1
@@ -225,63 +226,6 @@ def build_interaction_lists(
     return lists
 
 
-@dataclass(frozen=True)
-class SelfPairs:
-    """Per-group self-interaction positions in the dense gemm tiles.
-
-    ``(rows[p], cols[p])`` for ``p`` in ``offsets[g]:offsets[g+1]`` are
-    the (body row within group ``g``, entry column within its list)
-    positions whose weight the gemm kernel must zero — a body meeting
-    its own point leaf.  Precomputed once per list-build epoch by
-    :func:`build_self_pairs`; the set only changes when the lists do.
-    """
-
-    offsets: np.ndarray  # (n_groups + 1,)
-    rows: np.ndarray     # (n_pairs,) row within the group tile
-    cols: np.ndarray     # (n_pairs,) column within the group's entries
-
-
-def build_self_pairs(
-    view: TreeView,
-    lists: InteractionLists,
-    groups: BodyGroups,
-    *,
-    body_ids: np.ndarray | None = None,
-) -> SelfPairs:
-    """Locate every (group row, list column) self-interaction once.
-
-    Vectorized over all entries: map each direct entry's point-body id
-    back to its sorted row (via the inverse of ``body_ids``; foreign /
-    out-of-range ids never match) and keep those landing inside their
-    own group's row range.
-    """
-    ng = lists.n_groups
-    pb = view.point_body[lists.nodes].astype(np.int64)
-    if body_ids is None:
-        src = pb  # ids are already sorted rows
-    else:
-        ids = np.asarray(body_ids, dtype=np.int64)
-        ok = ids >= 0
-        size = int(ids[ok].max(initial=-1)) + 1
-        row_of = np.full(max(size, 1), -1, dtype=np.int64)
-        row_of[ids[ok]] = np.nonzero(ok)[0]
-        src = np.full(pb.shape[0], -1, dtype=np.int64)
-        cand = (pb >= 0) & (pb < row_of.shape[0])
-        src[cand] = row_of[pb[cand]]
-    counts = np.diff(lists.offsets).astype(np.int64)
-    entry_group = np.repeat(np.arange(ng, dtype=np.int64), counts)
-    go = groups.offsets.astype(np.int64)
-    inside = ((src >= go[entry_group]) & (src < go[entry_group + 1])
-              & (src >= 0))
-    e = np.nonzero(inside)[0]
-    g_e = entry_group[e]
-    rows = (src[e] - go[g_e]).astype(INDEX)
-    cols = (e - lists.offsets.astype(np.int64)[g_e]).astype(INDEX)
-    offsets = np.zeros(ng + 1, dtype=INDEX)
-    np.cumsum(np.bincount(g_e, minlength=ng), out=offsets[1:])
-    return SelfPairs(offsets, rows, cols)
-
-
 def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
     """The evaluator ``eval_mode="auto"`` stands for.
 
@@ -294,8 +238,10 @@ def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
     built at list-entry level and costs little next to the evaluation.
     Flat wins the modeled seconds through its near-field dedup
     (EXPERIMENTS.md compares both clocks against gemm).  Explicit modes
-    pass through.
+    pass through; unknown ones raise.
     """
+    if mode not in EVAL_MODES:
+        raise ValueError(f"unknown eval mode {mode!r}")
     if mode != "auto":
         return mode
     if groups.max_group_size <= 1:
@@ -315,43 +261,45 @@ def evaluate_interaction_lists(
     mode: str = "auto",
     flat=None,
     m_sorted: np.ndarray | None = None,
-    self_pairs: SelfPairs | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Evaluation of the cached lists at current positions.
 
     Returns accelerations in sorted-row order plus an eval-stats dict
     (``pairs`` evaluated, nonzero ``interactions``, ``quad_terms``,
     plus the flat-mode ``flat_launches`` / ``near_pairs_naive`` /
-    ``near_pairs_evaluated``, zero for the tile kernels).
+    ``near_pairs_evaluated``, zero for the tile and gemm forms).
     ``body_ids`` maps sorted rows into ``view.point_body``'s id space
     (identity when omitted); ``mode`` is ``"tile"`` (bit-compatible
-    sequential reduction), ``"gemm"`` (BLAS), ``"flat"`` (flattened
-    SoA batch kernels with n3l near-field dedup — see
-    :mod:`repro.traversal.flat`), or ``"auto"`` (tile only for the
-    degenerate one-body groups whose contract is exactness, flat when
-    *flat* is given, gemm otherwise — :func:`resolve_eval_mode`).
-    *flat* / *self_pairs* are the per-epoch precomputes (built on the
-    fly when omitted — callers with a structure cache should pass
-    them); *m_sorted* (masses in sorted-row order) enables
-    the n3l dedup in flat mode.
+    sequential reduction), ``"flat"`` (batch kernels with n3l
+    near-field dedup — see :mod:`repro.traversal.flat`), ``"gemm"``
+    (the same batches without the dedup), or ``"auto"`` (tile only for
+    the degenerate one-body groups whose contract is exactness, flat
+    when *flat* is given, gemm otherwise — :func:`resolve_eval_mode`).
+    *flat* is the per-epoch preparation (built on the fly when omitted
+    — callers with a structure cache should pass it; gemm's is built
+    with ``n3l=False``); *m_sorted* (masses in sorted-row order)
+    enables the n3l dedup in flat mode.
     """
     x_sorted = np.asarray(x_sorted, dtype=FLOAT)
     n, dim = x_sorted.shape
-    acc = np.zeros((n, dim), dtype=FLOAT)
     mode = resolve_eval_mode(mode, groups, amortized=flat is not None)
-    if mode not in ("tile", "gemm", "flat"):
-        raise ValueError(f"unknown eval mode {mode!r}")
 
-    if mode == "flat":
+    if mode != "tile":
         # Deferred import: flat builds on the engine's data structures.
         from repro.traversal.flat import build_flat_lists, evaluate_flat
         if flat is None:
-            flat = build_flat_lists(view, lists, groups,
-                                    body_ids=body_ids,
-                                    n3l=m_sorted is not None)
-        return evaluate_flat(view, flat, x_sorted,
-                             G=G, eps2=eps2, m_sorted=m_sorted)
+            flat = build_flat_lists(
+                view, lists, groups, body_ids=body_ids,
+                n3l=mode == "flat" and m_sorted is not None)
+        acc, stats = evaluate_flat(view, flat, x_sorted,
+                                   G=G, eps2=eps2, m_sorted=m_sorted)
+        if mode == "gemm":
+            # The modeled device kernel of gemm is the grouped tile,
+            # charged through kernel_launches, not flat's batches.
+            stats["flat_launches"] = 0
+        return acc, stats
 
+    acc = np.zeros((n, dim), dtype=FLOAT)
     off = lists.offsets
     go = groups.offsets
     com = view.com
@@ -360,30 +308,24 @@ def evaluate_interaction_lists(
     pairs = 0
     nonzero = 0
     quad_terms = 0
-    ng = groups.n_groups
     # Hoisted once: item access on numpy scalars inside the loop is a
     # measurable share of small-group eval time.
     off_l = off.tolist()
     go_l = go.tolist()
 
-    if mode == "gemm" and self_pairs is None:
-        self_pairs = build_self_pairs(view, lists, groups,
-                                      body_ids=body_ids)
+    # Scratch pools sized for the largest tile, reused across groups;
+    # flat (b*k) slices keep every view contiguous.
+    bmax = groups.max_group_size
+    kmax = int(np.diff(off).max(initial=0))
+    cap = bmax * kmax
+    dpool = np.empty((cap, dim), dtype=FLOAT)
+    opool = np.empty((cap, dim), dtype=FLOAT)
+    r2pool = np.empty(cap, dtype=FLOAT)
+    cpool = np.empty(cap, dtype=FLOAT)
+    wpool = np.empty(cap, dtype=FLOAT)
+    mpool = np.empty(cap, dtype=bool)
 
-    if mode == "tile":
-        # Scratch pools sized for the largest tile, reused across
-        # groups; flat (b*k) slices keep every view contiguous.
-        bmax = groups.max_group_size
-        kmax = int(np.diff(off).max(initial=0))
-        cap = bmax * kmax
-        dpool = np.empty((cap, dim), dtype=FLOAT)
-        opool = np.empty((cap, dim), dtype=FLOAT)
-        r2pool = np.empty(cap, dtype=FLOAT)
-        cpool = np.empty(cap, dtype=FLOAT)
-        wpool = np.empty(cap, dtype=FLOAT)
-        mpool = np.empty(cap, dtype=bool)
-
-    for g in range(ng):
+    for g in range(groups.n_groups):
         lo_e, hi_e = off_l[g], off_l[g + 1]
         if hi_e == lo_e:
             continue
@@ -391,68 +333,38 @@ def evaluate_interaction_lists(
         r0, r1 = go_l[g], go_l[g + 1]
         xg = x_sorted[r0:r1]
         b, k = r1 - r0, hi_e - lo_e
+        bk = b * k
         cn = com[nodes]
         mn = mass[nodes]
-
-        if mode == "tile":
-            bk = b * k
-            dvec = np.subtract(cn[None, :, :], xg[:, None, :],
-                               out=dpool[:bk].reshape(b, k, dim))
-            r2 = np.einsum("ij,ij->i", dpool[:bk], dpool[:bk],
-                           out=r2pool[:bk]).reshape(b, k)
-            r2c = np.add(r2, eps2, out=cpool[:bk].reshape(b, k))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.power(r2c, -1.5, out=wpool[:bk].reshape(b, k))
-                np.multiply(G * mn, w, out=w)
-            np.less_equal(r2c, 0.0, out=mpool[:bk].reshape(b, k))
-            np.copyto(w, 0.0, where=mpool[:bk].reshape(b, k))
-            contrib = np.multiply(w[:, :, None], dvec,
-                                  out=opool[:bk].reshape(b, k, dim))
-            if quad is not None:
-                ap = lists.approx[lo_e:hi_e]
-                kq = int(np.count_nonzero(ap))
-                if kq:
-                    dq = dvec[:, ap, :].reshape(-1, dim)
-                    r2q = r2c[:, ap].reshape(-1)
-                    qt = np.broadcast_to(
-                        quad[nodes[ap]], (b, kq, dim, dim)
-                    ).reshape(-1, dim, dim)
-                    contrib[:, ap, :] += quadrupole_accel(
-                        dq, r2q, qt, G
-                    ).reshape(b, kq, dim)
-                    quad_terms += b * kq
-            # The reduced axis is strided, so numpy accumulates it
-            # sequentially — the same order as the lockstep rounds.
-            np.sum(contrib, axis=1, out=acc[r0:r1])
-        else:
-            x2 = np.einsum("ij,ij->i", xg, xg)
-            c2 = np.einsum("ij,ij->i", cn, cn)
-            r2 = x2[:, None] + c2[None, :] - 2.0 * (xg @ cn.T)
-            np.maximum(r2, 0.0, out=r2)  # cancellation can go negative
-            r2c = r2 + eps2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(r2c > 0.0, G * mn * r2c ** -1.5, 0.0)
-            sp0, sp1 = int(self_pairs.offsets[g]), int(
-                self_pairs.offsets[g + 1])
-            w[self_pairs.rows[sp0:sp1], self_pairs.cols[sp0:sp1]] = 0.0
-            acc_g = w @ cn - w.sum(axis=1)[:, None] * xg
-            if quad is not None:
-                ap = lists.approx[lo_e:hi_e]
-                kq = int(np.count_nonzero(ap))
-                if kq:
-                    can = cn[ap]
-                    dq = (can[None, :, :] - xg[:, None, :]).reshape(-1, dim)
-                    r2q = np.einsum("ij,ij->i", dq, dq) + eps2
-                    qt = np.broadcast_to(
-                        quad[nodes[ap]], (b, kq, dim, dim)
-                    ).reshape(-1, dim, dim)
-                    acc_g += quadrupole_accel(dq, r2q, qt, G).reshape(
-                        b, kq, dim
-                    ).sum(axis=1)
-                    quad_terms += b * kq
-            acc[r0:r1] = acc_g
-
-        pairs += b * k
+        dvec = np.subtract(cn[None, :, :], xg[:, None, :],
+                           out=dpool[:bk].reshape(b, k, dim))
+        r2 = np.einsum("ij,ij->i", dpool[:bk], dpool[:bk],
+                       out=r2pool[:bk]).reshape(b, k)
+        r2c = np.add(r2, eps2, out=cpool[:bk].reshape(b, k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.power(r2c, -1.5, out=wpool[:bk].reshape(b, k))
+            np.multiply(G * mn, w, out=w)
+        np.less_equal(r2c, 0.0, out=mpool[:bk].reshape(b, k))
+        np.copyto(w, 0.0, where=mpool[:bk].reshape(b, k))
+        contrib = np.multiply(w[:, :, None], dvec,
+                              out=opool[:bk].reshape(b, k, dim))
+        if quad is not None:
+            ap = lists.approx[lo_e:hi_e]
+            kq = int(np.count_nonzero(ap))
+            if kq:
+                dq = dvec[:, ap, :].reshape(-1, dim)
+                r2q = r2c[:, ap].reshape(-1)
+                qt = np.broadcast_to(
+                    quad[nodes[ap]], (b, kq, dim, dim)
+                ).reshape(-1, dim, dim)
+                contrib[:, ap, :] += quadrupole_accel(
+                    dq, r2q, qt, G
+                ).reshape(b, kq, dim)
+                quad_terms += b * kq
+        # The reduced axis is strided, so numpy accumulates it
+        # sequentially — the same order as the lockstep rounds.
+        np.sum(contrib, axis=1, out=acc[r0:r1])
+        pairs += bk
         nonzero += int(np.count_nonzero(w))
 
     return acc, {"pairs": pairs, "interactions": nonzero,

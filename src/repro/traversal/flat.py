@@ -1,22 +1,24 @@
-"""Flattened CSR batch evaluation of cached interaction lists.
+"""Batch evaluation of cached interaction lists.
 
-The per-group tile kernels of :mod:`repro.traversal.engine` pay a
+The per-group tile kernel of :mod:`repro.traversal.engine` pays a
 Python-loop iteration plus a handful of small-array temporaries for
 every group.  At production group sizes that loop — not the arithmetic
 — dominates *host* wall-clock.  This module trades it for a few large
-structure-of-arrays kernels:
+kernels, prepared once per list epoch (:func:`build_flat_lists`) and
+cached alongside the lists in the structure cache.  Only *indices* are
+cached: masses and centres of mass are gathered from the live
+:class:`~repro.traversal.engine.TreeView` every step, so the
+preparation survives refits unchanged.
 
-* **Flattening** — at list-build time each group's ``(offsets, nodes)``
-  CSR rows are expanded into flat ``(row, node)`` index pairs (one per
-  body x list entry), so a whole evaluation becomes gather / axpy /
-  scatter over arrays with millions of entries instead of thousands of
-  tiny tiles.  The expansion is *row-major* (all of one body's sources
-  are consecutive), so the scatter back into the acceleration array is
-  a contiguous segment reduction.  The expansion is pure indexing; it
-  is cached alongside the lists in the structure cache and survives
-  refits unchanged (only *indices* are cached — masses and centres of
-  mass are gathered from the live
-  :class:`~repro.traversal.engine.TreeView` every step).
+* **Node sources in dense batches** — every group's node sources are
+  packed into :class:`DenseBucket`\\ s: groups of similar list length,
+  padded to a common width and evaluated as a few ``(groups, rows,
+  nodes)`` batched kernels with the ``x^2 + c^2 - 2 x.c`` algebra, so
+  the per-pair arithmetic stays in BLAS.  Accepted nodes carry the
+  quadrupole term on order-2 trees.  With Newton's third law off the
+  direct leaves join as monopole nodes, and a row meeting its own point
+  leaf is zeroed through its bucket's self slots — that form *is*
+  ``eval_mode="gemm"``: the same kernel as flat, without the dedup.
 
 * **Newton's third law** — direct body-body work (point leaves and,
   for the octree, bucket-leaf bodies) appears in ordered form: group
@@ -37,23 +39,24 @@ structure-of-arrays kernels:
   pools themselves — no pair-level sort and no dense
   ``rows x groups`` table.
 
-* **Scatter determinism** — the target-side reduction uses
+* **Scatter determinism** — the body pools' target-side reduction uses
   ``np.add.reduceat`` over row-sorted segments and the reaction-side
   scatter uses ``np.bincount``; both accumulate in index order
-  deterministically (unlike a parallel ``np.add.at``), so flat
+  deterministically (unlike a parallel ``np.add.at``), so batch
   evaluation is bitwise reproducible run to run.  Their summation
-  order differs from the tile kernel's per-group order, so flat matches
-  tile only to rounding (~1e-15 relative); the tile mode remains the
-  bit-exactness reference against the lockstep kernels.
+  order differs from the tile kernel's per-group order, so the batches
+  match tile only to rounding (~1e-15 relative); the tile mode remains
+  the bit-exactness reference against the lockstep kernels.
 
-Kernels stream over fixed-size blocks (:data:`BLOCK` pairs) through
-preallocated scratch pools sized to stay cache-resident, so the only
-per-pair DRAM traffic in steady state is the int32 index streams;
-steady-state steps allocate nothing proportional to the pair count.
+The body-pair kernels stream over fixed-size blocks (:data:`BLOCK`
+pairs) and the dense batches over chunks of ~2 MB, all through
+preallocated scratch pools sized to stay cache-resident; steady-state
+steps allocate nothing proportional to the pair count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -69,6 +72,11 @@ from repro.types import FLOAT, INDEX
 #: the per-pair temporaries then never round-trip through DRAM and the
 #: only streaming traffic is the index arrays themselves.
 BLOCK = 1 << 15
+
+#: Slots per quadrupole sub-batch.  The order-2 term materializes a
+#: 3x3 tensor per (row, node) slot, so it runs on sub-batches about the
+#: size of one group's tile, which keeps those temporaries in cache.
+QUAD_SLOTS = 1 << 12
 
 
 def _idx_dtype(bound: int):
@@ -103,8 +111,8 @@ def _segments(idx_sorted: np.ndarray) -> Segments:
 
 
 def _segment_add(acc: np.ndarray, contrib: np.ndarray, p0: int,
-                 segs: Segments, sign: float = 1.0) -> None:
-    """``acc[row] += sign * contrib`` for the block at pool offset *p0*.
+                 segs: Segments) -> None:
+    """``acc[row] += contrib`` for the block at pool offset *p0*.
 
     Block boundaries need not align with segment boundaries: a run
     split across blocks contributes partial sums to the same row from
@@ -117,56 +125,57 @@ def _segment_add(acc: np.ndarray, contrib: np.ndarray, p0: int,
     bnd = segs.starts[j0:j1] - p0
     if bnd[0] < 0:
         bnd[0] = 0  # fresh slice-difference array; safe to clamp
-    out = np.add.reduceat(contrib, bnd, axis=0)
-    if sign >= 0.0:
-        acc[segs.rows[j0:j1]] += out
-    else:
-        acc[segs.rows[j0:j1]] -= out
+    acc[segs.rows[j0:j1]] += np.add.reduceat(contrib, bnd, axis=0)
 
 
 @dataclass(frozen=True)
 class DenseBucket:
-    """A batch of groups with similar approx-list lengths, padded to a
-    common width ``K`` for one 3-D batched evaluation.
+    """A batch of groups with similar list lengths, padded to a common
+    width ``K`` for one 3-D batched evaluation.
 
-    ``node_mat[i, :]`` holds group ``i``'s accepted nodes padded with a
+    ``node_mat[i, :]`` holds group ``i``'s node sources padded with a
     sentinel node (zero mass, far-away centre) and ``row_mat[i, :]`` its
     member rows padded with a sentinel row, so the whole bucket runs as
     a handful of ``(chunk, B, K)`` dense kernels — the gemm algebra
-    without its per-group Python loop.  ``n_real`` counts the unpadded
-    (row, node) slots for the interaction counters.
+    without a per-group Python loop.
     """
 
     node_mat: np.ndarray  # (G_b, K) int
     row_mat: np.ndarray   # (G_b, B) int
-    n_real: int
+    #: Real (unpadded) rows and columns of each group.
+    n_rows: np.ndarray    # (G_b,)
+    n_cols: np.ndarray    # (G_b,)
+    #: True when the columns are accepted nodes (quadrupole-carrying on
+    #: order-2 trees); False for direct leaves folded in as monopoles.
+    approx: bool = True
+    #: Where a row meets its own point leaf: each such row's column
+    #: index, flattened to its position ``(i * B + row) * K + col`` in
+    #: the bucket's slots, ascending; the kernel zeroes these weights.
+    #: None when no row does.
+    self_slots: np.ndarray | None = None
+
+    @property
+    def n_real(self) -> int:
+        """Unpadded (row, node) slots, for the interaction counters."""
+        return int(self.n_rows @ self.n_cols)
 
 
 @dataclass
 class FlatLists:
-    """One epoch's interaction lists, flattened to SoA index arrays.
+    """One epoch's interaction lists, prepared for batch evaluation.
 
-    Three pair pools, all in sorted-row space and row-major (sorted by
-    target row, so the target-side scatter is a segment reduction):
-
-    * node sources ``(a_row, a_node)`` — accepted multipoles (and, when
-      n3l is off, direct leaves folded in as monopole nodes);
+    * node sources — :class:`DenseBucket` batches of accepted multipoles
+      (and, when n3l is off, of direct leaves as monopole nodes);
     * two-sided body pairs ``(s_t, s_s)`` with ``s_t < s_s`` — near
       pairs seen from both sides, evaluated once, scattered to both;
     * one-sided body pairs ``(o_t, o_s)`` — near pairs whose mirror was
       approximated away; original orientation, target side only.
 
-    Only index arrays are cached: masses / centres of mass are gathered
-    from the live tree view at evaluation time, so a refit that rewrites
-    ``view.com`` / ``view.mass`` needs no flat rebuild.
+    The body pools are in sorted-row space and row-major (sorted by
+    target row, so the target-side scatter is a segment reduction).
     """
 
-    a_row: np.ndarray
-    a_node: np.ndarray
-    #: Positions in the ``a_*`` pool carrying quadrupole terms, or
-    #: ``None`` when every entry does (the pool is purely approx).
-    a_quad: np.ndarray | None
-    a_segs: Segments
+    buckets: list
     s_t: np.ndarray
     s_s: np.ndarray
     s_segs: Segments
@@ -179,18 +188,11 @@ class FlatLists:
     #: True when bucket-leaf (KLASS_EXACT) bodies were folded into the
     #: body pools, letting the caller skip its scalar exact loop.
     includes_exact: bool
-    #: Dense-batch form of the node-source pool (monopole trees only):
-    #: when set, the ``a_*`` arrays are empty and the node sources run
-    #: through :class:`DenseBucket` batches instead of the streaming
-    #: gather/scatter kernel.
-    a_dense: list | None = None
     _scratch: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_node_pairs(self) -> int:
-        if self.a_dense is not None:
-            return sum(b.n_real for b in self.a_dense)
-        return int(self.a_row.shape[0])
+        return sum(b.n_real for b in self.buckets)
 
     @property
     def n_two_sided(self) -> int:
@@ -206,12 +208,14 @@ class FlatLists:
         return self.n_two_sided + self.n_one_sided
 
     def buf(self, name: str, shape: tuple, dtype=FLOAT) -> np.ndarray:
-        """Named scratch buffer, allocated once and reused across steps."""
+        """Named scratch of *shape*: a view of a buffer that only grows,
+        reused across steps and shared by every bucket asking for it."""
+        size = math.prod(shape)
         b = self._scratch.get(name)
-        if b is None or b.shape != tuple(shape) or b.dtype != dtype:
-            b = np.empty(shape, dtype=dtype)
+        if b is None or b.size < size or b.dtype != dtype:
+            b = np.empty(size, dtype=dtype)
             self._scratch[name] = b
-        return b
+        return b[:size].reshape(shape)
 
 
 def _row_major_expand(
@@ -260,53 +264,93 @@ def _expand_ranges(
 
 
 def _dense_buckets(
-    anodes: np.ndarray,
-    ca: np.ndarray,
+    nodes: np.ndarray,
+    counts: np.ndarray,
     groups: BodyGroups,
     n: int,
     nn: int,
+    *,
+    approx: bool = True,
+    self_col: np.ndarray | None = None,
 ) -> list:
-    """Pack per-group approx lists into padded :class:`DenseBucket`\\ s.
+    """Pack per-group node lists into padded :class:`DenseBucket`\\ s.
 
-    Groups are sorted by list length and cut into buckets whenever the
-    pad waste against the bucket's widest list would exceed ~25%, so
-    the padded slot count stays within a small factor of the real one.
-    Sentinels: node ``nn`` (zero mass, centre placed just outside the
-    occupied box so its weight is finite but multiplied away) and row
-    ``n`` (accumulates into a discarded extra row).
+    *nodes* holds the lists concatenated in group order, *counts* their
+    lengths.  Groups are sorted by list length and cut into buckets
+    whenever the pad waste against the bucket's widest list would
+    exceed ~25%, so the padded slot count stays within a small factor
+    of the real one.  Sentinels: node ``nn`` (zero mass, centre placed
+    just outside the occupied box so its weight is finite but
+    multiplied away) and row ``n`` (accumulates into a discarded extra
+    row).  *self_col* (``n + 1`` entries, -1 for none) is the column
+    within its group's list of each row's own point leaf.
     """
     ndt = _idx_dtype(nn + 1)
     rdt = _idx_dtype(n + 1)
     go = groups.offsets.astype(np.int64)
     gsz = np.diff(go)
     bmax = int(gsz.max()) if gsz.size else 0
-    aoff = np.concatenate(([0], np.cumsum(ca, dtype=np.int64)))
-    nz = np.nonzero(ca)[0]
-    order = nz[np.argsort(ca[nz], kind="stable")][::-1]
+    aoff = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    nz = np.nonzero(counts)[0]
+    order = nz[np.argsort(counts[nz], kind="stable")][::-1]
     buckets: list = []
     i = 0
     while i < order.size:
-        kmax = int(ca[order[i]])
+        kmax = int(counts[order[i]])
         j = i + 1
-        while j < order.size and int(ca[order[j]]) * 4 >= kmax * 3:
+        while j < order.size and int(counts[order[j]]) * 4 >= kmax * 3:
             j += 1
         gids = order[i:j]
-        ks = ca[gids]
+        ks = counts[gids]
         # CSR rows -> padded matrix: gather with clipped positions,
         # then overwrite the pad tail with the sentinel node.
         src = aoff[gids][:, None] + np.arange(kmax, dtype=np.int64)
         np.minimum(src, (aoff[gids] + ks - 1)[:, None], out=src)
-        node_mat = anodes[src].astype(ndt, copy=False)
+        node_mat = nodes[src].astype(ndt, copy=False)
         node_mat[np.arange(kmax)[None, :] >= ks[:, None]] = nn
         row_mat = (go[gids][:, None]
                    + np.arange(bmax, dtype=np.int64))
         row_mat[row_mat >= go[gids + 1][:, None]] = n
-        n_real = int((ks * gsz[gids]).sum())
+        slots = None
+        if self_col is not None:
+            sc = self_col[row_mat]
+            gi, r = np.nonzero(sc >= 0)
+            if gi.size:
+                slots = (gi * bmax + r) * kmax + sc[gi, r]
         buckets.append(DenseBucket(
             np.ascontiguousarray(node_mat),
-            np.ascontiguousarray(row_mat.astype(rdt)), n_real))
+            np.ascontiguousarray(row_mat.astype(rdt)),
+            gsz[gids], ks, approx, slots))
         i = j
     return buckets
+
+
+def _self_columns(
+    view: TreeView,
+    dnodes: np.ndarray,
+    cd: np.ndarray,
+    groups: BodyGroups,
+    row_of: np.ndarray | None,
+) -> np.ndarray:
+    """Column of each row's own point leaf in its group's direct list.
+
+    Maps each direct entry's point body to its sorted row (through
+    *row_of* when rows are permuted ids; out-of-range ids never match)
+    and keeps those landing in their own group.  Returns ``n + 1``
+    entries, -1 where a row does not meet itself (and for the pad row).
+    """
+    n = groups.n_bodies
+    src = view.point_body[dnodes].astype(np.int64)
+    ok = (src >= 0) & (src < n)
+    if row_of is not None:
+        src[ok] = row_of[src[ok]]
+    e_g = np.repeat(np.arange(groups.n_groups, dtype=np.int64), cd)
+    go = groups.offsets.astype(np.int64)
+    own = np.nonzero(ok & (src >= go[e_g]) & (src < go[e_g + 1]))[0]
+    doff = np.concatenate(([0], np.cumsum(cd, dtype=np.int64)))
+    self_col = np.full(n + 1, -1, dtype=np.int64)
+    self_col[src[own]] = own - doff[e_g[own]]
+    return self_col
 
 
 def build_flat_lists(
@@ -318,24 +362,25 @@ def build_flat_lists(
     exact_bodies: Callable[[int], np.ndarray] | None = None,
     n3l: bool = True,
 ) -> FlatLists:
-    """Flatten *lists* and split the near field by n3l, once per epoch.
+    """Pack *lists* into batches and split the near field by n3l, once
+    per epoch.
 
     ``body_ids`` maps sorted rows into ``view.point_body``'s id space
     (identity when omitted).  Ids outside the local sorted range —
-    the distributed runtime's foreign-source sentinel is negative —
-    disable n3l: every entry then stays a node source, which is the
-    correct one-sided semantics for halo tiles.  ``exact_bodies`` is a
-    ``node -> body ids`` callback (octree bucket leaves); when given
-    under n3l, bucket bodies are folded into the body pools and
-    :attr:`FlatLists.includes_exact` is set.
+    the distributed runtime's foreign-target sentinel is negative —
+    disable n3l.  Without n3l every entry stays a node source: direct
+    leaves are batched as monopole nodes and each row's own leaf is
+    zeroed, which is the one-sided semantics of ``eval_mode="gemm"``
+    and of halo targets.  ``exact_bodies`` is a ``node -> body ids``
+    callback (octree bucket leaves); when given under n3l, bucket bodies
+    are folded into the body pools and :attr:`FlatLists.includes_exact`
+    is set.
     """
     n = groups.n_bodies
     ng = lists.n_groups
     nn = view.com.shape[0]
     rdt = _idx_dtype(max(n, 1))
-    ndt = _idx_dtype(max(nn, 1))
     empty = np.empty(0, dtype=rdt)
-    no_segs = _segments(np.empty(0, dtype=np.int64))
 
     counts = np.diff(lists.offsets).astype(np.int64)
     gsz = np.diff(groups.offsets).astype(np.int64)
@@ -349,55 +394,26 @@ def build_flat_lists(
     foreign = ids is not None and (ids.size == 0 or bool((ids < 0).any()))
     n3l = n3l and not foreign
 
-    if not n3l:
-        # Every entry stays a node source (direct leaves are monopoles).
-        row, pos, rc = _row_major_expand(lists.nodes, counts, grow, n)
-        a_node = lists.nodes[pos].astype(ndt)
-        if int(ca.sum()) == counts.sum():
-            a_quad = None
-        else:
-            a_quad = np.nonzero(lists.approx[pos])[0]
-        segs = Segments(
-            np.concatenate(([0], np.cumsum(rc, dtype=np.int64)))[
-                :-1][rc > 0],
-            np.nonzero(rc > 0)[0].astype(np.int64))
-        return FlatLists(
-            row.astype(rdt), a_node, a_quad, segs,
-            empty, empty, no_segs, empty, empty, no_segs,
-            pairs_naive=0, includes_exact=False,
-        )
-
     # Sorted row of each point-leaf id (identity unless permuted).
     row_of = None
-    if ids is not None:
+    if ids is not None and not foreign:
         row_of = np.empty(n, dtype=np.int64)
         row_of[ids] = np.arange(n, dtype=np.int64)
 
     approx = lists.approx
-    anodes = lists.nodes[approx]
     dnodes = lists.nodes[~approx]
+    buckets = _dense_buckets(lists.nodes[approx], ca, groups, n, nn)
 
-    # ---- approx pool ------------------------------------------------
-    # Monopole trees take the dense-batch form: the whole pool becomes
-    # a few padded (groups, B, K) kernels sharing each group's node
-    # list across its rows, which keeps the per-pair arithmetic in
-    # BLAS.  With quadrupoles the per-pair displacement vectors are
-    # needed anyway, so the row-major streaming form is used instead.
-    a_dense = None
-    a_row = empty
-    a_node = np.empty(0, dtype=ndt)
-    a_segs = no_segs
-    if view.quad is None:
-        a_dense = _dense_buckets(anodes, ca, groups, n, nn)
-    else:
-        a_row64, apos, rca = _row_major_expand(anodes, ca, grow, n)
-        a_row = a_row64.astype(rdt)
-        a_node = anodes[apos].astype(ndt)
-        a_starts = np.concatenate(
-            ([0], np.cumsum(rca, dtype=np.int64)))[:-1]
-        a_segs = Segments(a_starts[rca > 0],
-                          np.nonzero(rca > 0)[0].astype(np.int64))
-        del a_row64, apos
+    if not n3l:
+        cd = counts - ca
+        self_col = None
+        if not foreign:
+            self_col = _self_columns(view, dnodes, cd, groups, row_of)
+        buckets += _dense_buckets(dnodes, cd, groups, n, nn,
+                                  approx=False, self_col=self_col)
+        no_segs = _segments(empty)
+        return FlatLists(buckets, empty, empty, no_segs, empty, empty,
+                         no_segs, pairs_naive=0, includes_exact=False)
 
     # ---- direct entries (group, source row), sorted -----------------
     # Every row of group A meets exactly A's direct entries, so the
@@ -460,12 +476,145 @@ def build_flat_lists(
         s_t = s_s = o_t = o_s = empty
 
     return FlatLists(
-        a_row, a_node, None, a_segs,
+        buckets,
         s_t, s_s, _segments(s_t),
         o_t, o_s, _segments(o_t),
         pairs_naive=pairs_naive, includes_exact=includes_exact,
-        a_dense=a_dense,
     )
+
+
+def _eval_buckets(
+    view: TreeView,
+    flat: FlatLists,
+    x_sorted: np.ndarray,
+    G: float,
+    eps2: float,
+    acc: np.ndarray,
+) -> tuple[int, int]:
+    """``acc +=`` every node source's pull, bucket by bucket.
+
+    Returns ``(interactions, quad_terms)``: the slots with a nonzero
+    weight, and the accepted-node slots that carried a quadrupole term.
+    """
+    n, dim = x_sorted.shape
+    com, quad = view.com, view.quad
+    softened = eps2 > 0.0
+    nonzero = 0
+    quad_terms = 0
+    nn = com.shape[0]
+    com_ext = flat.buf("com_ext", (nn + 1, dim))
+    com_ext[:nn] = com
+    # Pad-node centre: outside the occupied box so r2 >= 1 for every
+    # row, but of the same magnitude as the data — extreme values would
+    # push ``pow`` onto its (~30x slower) slow path.  The pad's zero
+    # mass is what actually cancels its weight.
+    lo = x_sorted.min(axis=0)
+    hi = x_sorted.max(axis=0)
+    com_ext[nn] = hi + (hi - lo) + 1.0
+    # G folded into the gathered masses: one multiply per node, not
+    # per pair.
+    gme = flat.buf("gm_ext", (nn + 1,))
+    np.multiply(view.mass, G, out=gme[:nn])
+    gme[nn] = 0.0
+    quad_ext = None
+    if quad is not None:
+        quad_ext = flat.buf("quad_ext", (nn + 1, dim, dim))
+        quad_ext[:nn] = quad
+        quad_ext[nn] = 0.0  # the pad node carries no quadrupole
+    x_ext = flat.buf("x_ext", (n + 1, dim))
+    x_ext[:n] = x_sorted
+    x_ext[n] = 0.0
+    acc_ext = flat.buf("acc_ext", (n + 1, dim))
+    acc_ext[:] = 0.0
+    for bucket in flat.buckets:
+        gb, K = bucket.node_mat.shape
+        B = bucket.row_mat.shape[1]
+        BK = B * K
+        gc = max(1, (1 << 18) // BK)  # ~2 MB chunk scratch
+        gc = min(gc, gb)
+        P = flat.buf("dP", (gc, B, K))
+        C = flat.buf("dC", (gc, K, dim))
+        MN = flat.buf("dM", (gc, K))
+        c2 = flat.buf("dc2", (gc, K))
+        X = flat.buf("dX", (gc, B, dim))
+        F = flat.buf("dF", (gc, B, dim))
+        x2 = flat.buf("dx2", (gc, B))
+        msk = None
+        if not softened:
+            msk = flat.buf("dK", (gc, B, K), dtype=bool)
+        slots = bucket.self_slots
+        qsub = 0
+        if quad_ext is not None and bucket.approx:
+            qsub = max(1, QUAD_SLOTS // BK)
+            quad_terms += bucket.n_real
+        for c0 in range(0, gb, gc):
+            c1 = min(gb, c0 + gc)
+            g = c1 - c0
+            nm = bucket.node_mat[c0:c1]
+            rm = bucket.row_mat[c0:c1]
+            Cg, Pg, Xg, Fg = C[:g], P[:g], X[:g], F[:g]
+            np.take(com_ext, nm, axis=0, out=Cg)
+            np.take(gme, nm, out=MN[:g])
+            np.einsum("gkj,gkj->gk", Cg, Cg, out=c2[:g])
+            np.take(x_ext, rm, axis=0, out=Xg)
+            np.einsum("gbj,gbj->gb", Xg, Xg, out=x2[:g])
+            x2[:g] += eps2
+            np.matmul(Xg, Cg.transpose(0, 2, 1), out=Pg)
+            Pg *= -2.0
+            Pg += x2[:g, :, None]
+            Pg += c2[:g, None, :]
+            # max(r2, 0) + eps2 == max(r2 + eps2, eps2): clamp the rare
+            # negative cancellation.
+            np.maximum(Pg, eps2, out=Pg)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if msk is not None:
+                    np.less_equal(Pg, 0.0, out=msk[:g])
+                np.power(Pg, -1.5, out=Pg)
+            # Mask before the mass multiply: a massless node's centre
+            # and the pad row both sit at the origin, so r2 = 0 there
+            # and inf * 0 would warn.  Masses are non-negative, so the
+            # masked slots come out +0.0 either way.
+            if msk is not None:
+                np.copyto(Pg, 0.0, where=msk[:g])
+            Pg *= MN[:g, None, :]
+            if slots is not None:
+                # A row's own leaf: x^2 + c^2 - 2 x.c differences two
+                # near-equal products there, so its weight is zeroed.
+                j0, j1 = np.searchsorted(slots, (c0 * BK, c1 * BK))
+                own = slots[j0:j1] - c0 * BK
+                Pf = Pg.reshape(-1)
+                if softened:
+                    nonzero -= int(np.count_nonzero(Pf[own]))
+                Pf[own] = 0.0
+            nr = bucket.n_rows[c0:c1]
+            if softened:
+                nonzero += int(nr @ np.count_nonzero(MN[:g], axis=1))
+            else:
+                nonzero += int(np.count_nonzero(Pg))
+                for i in np.nonzero(nr < B)[0]:  # pad rows: not counted
+                    nonzero -= int(np.count_nonzero(Pg[i, nr[i]:]))
+            np.matmul(Pg, Cg, out=Fg)
+            # Quadrupoles, on sub-batches cut to their real rows and
+            # columns.
+            for q0 in range(0, g, qsub) if qsub else ():
+                q1 = min(g, q0 + qsub)
+                bq = int(bucket.n_rows[c0 + q0:c0 + q1].max())
+                kq = int(bucket.n_cols[c0 + q0:c0 + q1].max())
+                dq = Cg[q0:q1, None, :kq] - Xg[q0:q1, :bq, None]
+                r2q = np.einsum("gbkj,gbkj->gbk", dq, dq)
+                r2q += eps2
+                qt = np.broadcast_to(quad_ext[nm[q0:q1, :kq]][:, None],
+                                     dq.shape + (dim,))
+                Fg[q0:q1, :bq] += quadrupole_accel(
+                    dq.reshape(-1, dim), r2q.reshape(-1),
+                    qt.reshape(-1, dim, dim), G,
+                ).reshape(dq.shape).sum(axis=2)
+            np.einsum("gbk->gb", Pg, out=x2[:g])  # w row-sums
+            Xg *= x2[:g, :, None]
+            Fg -= Xg
+            acc_ext[rm] += Fg
+    acc += acc_ext[:n]
+    return nonzero, quad_terms
 
 
 def evaluate_flat(
@@ -477,16 +626,17 @@ def evaluate_flat(
     eps2: float = 0.0,
     m_sorted: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Evaluate flattened lists at current positions (sorted order).
+    """Evaluate prepared lists at current positions (sorted order).
 
-    Three batch kernels — node sources, two-sided body pairs, one-sided
-    body pairs — each streaming :data:`BLOCK` pairs at a time through
-    *flat*'s scratch pools.  ``m_sorted`` (body masses in sorted order)
-    is required whenever the body pools are non-empty.  Returns the
-    accelerations plus the eval-stats dict of
-    :func:`~repro.traversal.engine.evaluate_interaction_lists`, extended
-    with ``flat_launches`` / ``near_pairs_naive`` /
-    ``near_pairs_evaluated``.
+    The node-source batches (one launch per :class:`DenseBucket`), then
+    two body-pair kernels — two-sided and one-sided pairs — each
+    streaming :data:`BLOCK` pairs at a time through *flat*'s scratch
+    pools.  ``m_sorted`` (body masses in sorted order) is required
+    whenever the body pools are non-empty.  Returns the accelerations
+    plus the eval-stats dict of
+    :func:`~repro.traversal.engine.evaluate_interaction_lists`:
+    ``pairs``, ``interactions`` (nonzero weights), ``quad_terms``,
+    ``flat_launches``, ``near_pairs_naive`` and ``near_pairs_evaluated``.
     """
     x_sorted = np.asarray(x_sorted, dtype=FLOAT)
     n, dim = x_sorted.shape
@@ -497,152 +647,24 @@ def evaluate_flat(
         raise ValueError(
             "flat lists carry body pairs; evaluate_flat needs m_sorted")
 
-    com, mass, quad = view.com, view.mass, view.quad
     softened = eps2 > 0.0
-    launches = 0
-    nonzero = 0
-    quad_terms = 0
-
-    # G folded into the gathered masses: one multiply per *node/body*,
-    # not per pair.
-    gm = flat.buf("gm", (mass.shape[0],))
-    np.multiply(mass, G, out=gm)
-    gms = None
-    if m_sorted is not None and (n_two or n_one):
+    launches = len(flat.buckets)
+    nonzero = quad_terms = 0
+    if flat.buckets:
+        nonzero, quad_terms = _eval_buckets(view, flat, x_sorted, G, eps2,
+                                            acc)
+    if n_two or n_one:
         gms = flat.buf("gms", (n,))
         np.multiply(np.asarray(m_sorted, dtype=FLOAT), G, out=gms)
-
-    d = flat.buf("d", (BLOCK, dim))
-    d2 = flat.buf("d2", (BLOCK, dim))
-    xb = flat.buf("x", (BLOCK, dim))
-    r2 = flat.buf("r2", (BLOCK,))
-    w = flat.buf("w", (BLOCK,))
-    mb = flat.buf("m", (BLOCK,))
-    mb2 = flat.buf("m2", (BLOCK,))
-    tmp = flat.buf("tmp", (BLOCK,))
-    mask = flat.buf("mask", (BLOCK,), dtype=bool)
-
-    # ---- node sources, dense batches (monopole trees) ---------------
-    na = flat.n_node_pairs
-    if flat.a_dense:
-        nn = com.shape[0]
-        com_ext = flat.buf("com_ext", (nn + 1, dim))
-        com_ext[:nn] = com
-        # Pad-node centre: outside the occupied box so r2 >= 1 for
-        # every row, but of the same magnitude as the data — extreme
-        # values would push ``pow`` onto its (~30x slower) slow path.
-        # The pad's zero mass is what actually cancels its weight.
-        lo = x_sorted.min(axis=0)
-        hi = x_sorted.max(axis=0)
-        com_ext[nn] = hi + (hi - lo) + 1.0
-        gme = flat.buf("gm_ext", (nn + 1,))
-        gme[:nn] = gm
-        gme[nn] = 0.0
-        x_ext = flat.buf("x_ext", (n + 1, dim))
-        x_ext[:n] = x_sorted
-        x_ext[n] = 0.0
-        acc_ext = flat.buf("acc_ext", (n + 1, dim))
-        acc_ext[:] = 0.0
-        for bucket in flat.a_dense:
-            launches += 1
-            gb, K = bucket.node_mat.shape
-            B = bucket.row_mat.shape[1]
-            gc = max(1, (1 << 18) // (B * K))  # ~2 MB chunk scratch
-            gc = min(gc, gb)
-            P = flat.buf(f"dP{B}x{K}", (gc, B, K))
-            C = flat.buf(f"dC{K}", (gc, K, dim))
-            MN = flat.buf(f"dM{K}", (gc, K))
-            c2 = flat.buf(f"dc2{K}", (gc, K))
-            X = flat.buf(f"dX{B}", (gc, B, dim))
-            F = flat.buf(f"dF{B}", (gc, B, dim))
-            x2 = flat.buf(f"dx2{B}", (gc, B))
-            msk = None
-            if not softened:
-                msk = flat.buf(f"dK{B}x{K}", (gc, B, K), dtype=bool)
-            for c0 in range(0, gb, gc):
-                c1 = min(gb, c0 + gc)
-                g = c1 - c0
-                nm = bucket.node_mat[c0:c1]
-                rm = bucket.row_mat[c0:c1]
-                Cg, Pg, Xg, Fg = C[:g], P[:g], X[:g], F[:g]
-                np.take(com_ext, nm, axis=0, out=Cg)
-                np.take(gme, nm, out=MN[:g])
-                np.einsum("gkj,gkj->gk", Cg, Cg, out=c2[:g])
-                np.take(x_ext, rm, axis=0, out=Xg)
-                np.einsum("gbj,gbj->gb", Xg, Xg, out=x2[:g])
-                x2[:g] += eps2
-                np.matmul(Xg, Cg.transpose(0, 2, 1), out=Pg)
-                Pg *= -2.0
-                Pg += x2[:g, :, None]
-                Pg += c2[:g, None, :]
-                # max(r2, 0) + eps2 == max(r2 + eps2, eps2): clamp the
-                # rare negative cancellation like the gemm kernel does.
-                np.maximum(Pg, eps2, out=Pg)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    if msk is not None:
-                        np.less_equal(Pg, 0.0, out=msk[:g])
-                    np.power(Pg, -1.5, out=Pg)
-                # Mask before the mass multiply: a massless node's centre
-                # and the pad row both sit at the origin, so r2 = 0 there
-                # and inf * 0 would warn.  Masses are non-negative, so
-                # the masked slots come out +0.0 either way.
-                if msk is not None:
-                    np.copyto(Pg, 0.0, where=msk[:g])
-                Pg *= MN[:g, None, :]
-                if msk is not None:
-                    nonzero += int(np.count_nonzero(Pg))
-                np.matmul(Pg, Cg, out=Fg)
-                np.einsum("gbk->gb", Pg, out=x2[:g])  # w row-sums
-                Xg *= x2[:g, :, None]
-                Fg -= Xg
-                acc_ext[rm] += Fg
-        if softened:
-            nonzero += na
-        acc += acc_ext[:n]
-
-    # ---- node sources: acc[row] += G m_node w (com - x) -------------
-    n_stream = int(flat.a_row.shape[0])
-    if n_stream:
-        launches += 1
-        qi = flat.a_quad  # None: every entry carries a quadrupole
-        for s0 in range(0, n_stream, BLOCK):
-            s1 = min(n_stream, s0 + BLOCK)
-            b = s1 - s0
-            rows = flat.a_row[s0:s1]
-            nodes = flat.a_node[s0:s1]
-            db, xbb, r2b, wb = d[:b], xb[:b], r2[:b], w[:b]
-            np.take(com, nodes, axis=0, out=db)
-            np.take(x_sorted, rows, axis=0, out=xbb)
-            db -= xbb
-            np.einsum("ij,ij->i", db, db, out=r2b)
-            r2b += eps2
-            np.take(gm, nodes, out=mb[:b])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.power(r2b, -1.5, out=wb)
-            wb *= mb[:b]
-            if softened:
-                nonzero += b
-            else:
-                np.less_equal(r2b, 0.0, out=mask[:b])
-                np.copyto(wb, 0.0, where=mask[:b])
-                nonzero += b - int(np.count_nonzero(mask[:b]))
-            qa = None
-            qsel: slice | np.ndarray = slice(None)
-            if quad is not None:
-                if qi is None:
-                    qa = quadrupole_accel(db, r2b, quad[nodes], G)
-                    quad_terms += b
-                else:
-                    j0, j1 = np.searchsorted(qi, [s0, s1])
-                    if j1 > j0:
-                        qsel = qi[j0:j1] - s0
-                        qa = quadrupole_accel(
-                            db[qsel], r2b[qsel], quad[nodes[qsel]], G)
-                        quad_terms += int(j1 - j0)
-            db *= wb[:, None]
-            if qa is not None:
-                db[qsel] += qa
-            _segment_add(acc, db, s0, flat.a_segs)
+        d = flat.buf("d", (BLOCK, dim))
+        d2 = flat.buf("d2", (BLOCK, dim))
+        xb = flat.buf("x", (BLOCK, dim))
+        r2 = flat.buf("r2", (BLOCK,))
+        w = flat.buf("w", (BLOCK,))
+        mb = flat.buf("m", (BLOCK,))
+        mb2 = flat.buf("m2", (BLOCK,))
+        tmp = flat.buf("tmp", (BLOCK,))
+        mask = flat.buf("mask", (BLOCK,), dtype=bool)
 
     # ---- two-sided pairs: one evaluation, both bodies ---------------
     if n_two:
@@ -705,7 +727,7 @@ def evaluate_flat(
             _segment_add(acc, db, s0, flat.o_segs)
 
     return acc, {
-        "pairs": na + n_two + n_one,
+        "pairs": flat.n_node_pairs + n_two + n_one,
         "interactions": nonzero,
         "quad_terms": quad_terms,
         "flat_launches": launches,

@@ -89,9 +89,9 @@ class TestFlatMatchesTile:
                                   eval_mode="flat", **kw)
         assert relative_l2_error(flat, tile) < RTOL
 
-    def test_quadrupole_streaming_path(self, small_cloud, soft_gravity):
-        """Order-2 moments disable dense batching; the streaming node
-        kernel with its quadrupole sub-gather must still match tile."""
+    def test_quadrupole_dense_batches(self, small_cloud, soft_gravity):
+        """Order-2 trees batch dense too: the accepted-node buckets carry
+        the quadrupole term, on every accepted slot exactly once."""
         bvh = build_bvh(small_cloud.x, small_cloud.m, order=2)
         tile = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
                                   small_cloud.m, soft_gravity, theta=0.6,
@@ -104,7 +104,13 @@ class TestFlatMatchesTile:
         groups = make_groups(bvh.x_sorted, 16)
         lists = build_interaction_lists(view, groups, 0.6)
         fl = build_flat_lists(view, lists, groups)
-        assert fl.a_dense is None  # quad trees stream, never batch dense
+        assert fl.buckets and all(b.approx for b in fl.buckets)
+        _, stats = evaluate_flat(view, fl, bvh.x_sorted, G=1.0, eps2=1e-4,
+                                 m_sorted=bvh.m_sorted)
+        rows = np.diff(groups.offsets)
+        expected = sum(int(rows[g]) * lists.approx_nodes(g).size
+                       for g in range(groups.n_groups))
+        assert stats["quad_terms"] == fl.n_node_pairs == expected
 
     def test_eps2_zero(self, small_cloud):
         """Unsoftened gravity: self pairs are excluded, not clamped."""
@@ -197,9 +203,8 @@ class TestNewtonThirdLaw:
         empty_i = np.zeros(0, dtype=np.int64)
         empty_segs = Segments(empty_i, empty_i)
         two_only = dataclasses.replace(
-            fl, a_row=empty_i, a_node=empty_i, a_quad=None, a_segs=empty_segs,
-            o_t=empty_i, o_s=empty_i, o_segs=empty_segs,
-            a_dense=None, _scratch={})
+            fl, buckets=[], o_t=empty_i, o_s=empty_i, o_segs=empty_segs,
+            _scratch={})
         assert two_only.n_two_sided > 0
         acc, _ = evaluate_flat(view, two_only, bvh.x_sorted,
                                G=1.0, eps2=1e-4, m_sorted=bvh.m_sorted)
@@ -217,10 +222,13 @@ class TestNewtonThirdLaw:
         assert stats["flat_launches"] >= 1
 
     def test_monopole_galaxy_uses_dense_batches(self):
-        _, _, _, fl = self._flat()
-        assert fl.a_dense is not None and len(fl.a_dense) >= 1
-        assert fl.a_row.shape[0] == 0  # node pool fully batched
-        assert fl.n_node_pairs == sum(b.n_real for b in fl.a_dense)
+        _, _, groups, fl = self._flat()
+        assert len(fl.buckets) >= 1
+        # Under n3l the buckets hold accepted nodes only, never a self
+        # slot; every group with a list sits in exactly one bucket.
+        assert all(b.approx and b.self_slots is None for b in fl.buckets)
+        assert fl.n_node_pairs == sum(b.n_real for b in fl.buckets)
+        assert sum(b.node_mat.shape[0] for b in fl.buckets) <= groups.n_groups
 
 
 def _reference_body_pools(view, lists, groups, body_ids, exact_bodies):
