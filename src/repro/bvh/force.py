@@ -44,6 +44,16 @@ def _visit_bytes(dim: int) -> float:
     return (3.0 * dim + 1.0) * 8.0
 
 
+def mac_size2(bvh: BVH) -> np.ndarray:
+    """Squared node extent entering the MAC; +inf (never passes) for a
+    node of coincident bodies, whose weighted centre of mass sits a
+    rounding residue away from its members.  A one-body node keeps its
+    zero extent: its centre is the body bitwise (``_finalize_coms``)."""
+    size2 = bvh.node_size2()
+    size2[(size2 == 0.0) & (bvh.count > 1)] = np.inf
+    return size2
+
+
 def bvh_accelerations(
     bvh: BVH,
     params: GravityParams = GravityParams(),
@@ -66,7 +76,7 @@ def bvh_accelerations(
     mass = bvh.mass
     count = bvh.count
     quad = bvh.quad
-    size2 = bvh.node_size2()
+    size2 = mac_size2(bvh)
     theta2 = theta * theta
     eps2 = params.eps2
     G = params.G
@@ -133,7 +143,7 @@ def bvh_accelerations_scalar(
         return acc
     escape = bvh.escape
     first_leaf = bvh.layout.first_leaf
-    size2 = bvh.node_size2()
+    size2 = mac_size2(bvh)
     theta2 = theta * theta
     eps2 = params.eps2
     for i in range(n):
@@ -186,7 +196,7 @@ def bvh_tree_view(bvh: BVH) -> TreeView:
     return TreeView(
         com=bvh.com,
         mass=bvh.mass,
-        size2=bvh.node_size2(),
+        size2=mac_size2(bvh),
         first_child=2 * nodes + 1,
         branch=2,
         klass=klass,

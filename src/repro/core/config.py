@@ -104,8 +104,8 @@ class SimulationConfig:
     #: hands the driver an entry dict — always the case for a single-rank
     #: :class:`Simulation`, though a rebuild-every-step run's entry lives
     #: for one evaluation — and gemm for calls without one, which
-    #: includes every ``ranks > 1`` force).  EXPERIMENTS.md measures
-    #: gemm against flat.
+    #: includes every ``ranks > 1`` force).  flat and gemm share one
+    #: block kernel; EXPERIMENTS.md measures gemm against flat.
     eval_mode: str = "auto"
     #: Dual traversal only: target-side opening multiplier of the
     #: symmetric cell-cell MAC.  A pair is retired far-field when the

@@ -111,6 +111,17 @@ class LocalExpansion:
         return cls(np.zeros((n_nodes, dim), dtype=FLOAT), jac, hess)
 
 
+def scatter_add(out: np.ndarray, idx: np.ndarray, terms: np.ndarray) -> None:
+    """``np.add.at(out, idx, terms)`` as one ``np.bincount`` per
+    component: the same per-target sums in index order, so bitwise equal
+    to it on a zero *out*, and several times faster."""
+    flat_out = out.reshape(out.shape[0], -1)
+    flat_terms = terms.reshape(terms.shape[0], -1)
+    for c in range(flat_out.shape[1]):
+        flat_out[:, c] += np.bincount(idx, weights=flat_terms[:, c],
+                                      minlength=out.shape[0])
+
+
 def m2l_accumulate(
     exp: LocalExpansion,
     far_t: np.ndarray,
@@ -127,9 +138,10 @@ def m2l_accumulate(
 
     ``far_t`` indexes target-tree nodes (rows of *center* / the
     expansion), ``far_s`` source-tree nodes (rows of *com* / *mass*).
-    Pairs sharing a target are scattered with ``np.add.at``; the caller
-    provides them in a deterministic order, so the accumulation —
-    and hence the whole dual force — is bitwise reproducible.
+    Pairs sharing a target are summed in index order (one ``bincount``
+    per component) into the expansion, which must start at zero; the
+    caller provides them in a deterministic order, so the accumulation
+    — and hence the whole dual force — is bitwise reproducible.
 
     Returns the number of quadrupole terms applied (for accounting).
     """
@@ -144,14 +156,14 @@ def m2l_accumulate(
     if quad is not None:
         a0_terms += quadrupole_accel(d, r2, quad[far_s], G)
         quad_terms = int(far_t.shape[0])
-    np.add.at(exp.a0, far_t, a0_terms)
+    scatter_add(exp.a0, far_t, a0_terms)
     if exp.jac is not None:
         dim = d.shape[1]
         inv_r5 = inv_r3 / r2
         jac_terms = (3.0 * G * mass[far_s] * inv_r5)[:, None, None] \
             * np.einsum("ki,kj->kij", d, d)
         jac_terms -= (G * mass[far_s] * inv_r3)[:, None, None] * np.eye(dim)
-        np.add.at(exp.jac, far_t, jac_terms)
+        scatter_add(exp.jac, far_t, jac_terms)
         if exp.hess is not None:
             inv_r7 = inv_r5 / r2
             eye = np.eye(dim)
@@ -163,7 +175,7 @@ def m2l_accumulate(
                 + np.einsum("il,kj->kijl", eye, d)
                 + np.einsum("jl,ki->kijl", eye, d)
             )
-            np.add.at(exp.hess, far_t, hess_terms)
+            scatter_add(exp.hess, far_t, hess_terms)
     return quad_terms
 
 

@@ -14,9 +14,9 @@ both tree strategies (octree and Hilbert BVH):
   (conservative group MAC), the reference tile evaluator, and the
   grouped counter accounting;
 * :mod:`repro.traversal.flat` — the batch evaluator: lists prepared
-  once per epoch, node sources evaluated in dense BLAS batches and the
-  symmetric near field deduped Newton's-third-law style (the production
-  host path); without the dedup it is ``eval_mode="gemm"``;
+  once per epoch as rectangle blocks, evaluated in dense BLAS batches,
+  with the symmetric near field deduped Newton's-third-law style (the
+  production host path); without the dedup it is ``eval_mode="gemm"``;
 * :mod:`repro.traversal.dual` — the dual-tree cell-cell walk: a target
   tree over the groups, a symmetric MAC that retires well-separated
   cell pairs once via M2L into local expansions, and the L2L/L2P

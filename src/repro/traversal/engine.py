@@ -41,15 +41,14 @@ per-body DFS emission order the lockstep kernels accumulate in.
   order; the reference, used at ``group_size=1`` where exact equality
   is the contract.
 * ``flat`` / ``gemm`` — :mod:`repro.traversal.flat`: the lists of
-  *all* groups are prepared once per epoch and evaluated as a few
-  large batch kernels.  Node sources run in dense batches with the
-  ``x^2 + c^2 - 2 x.c`` algebra, so the hot reduction is a BLAS
-  matmul.  ``flat`` dedupes the symmetric near field Newton's-third-law
-  style (the production host path for cached lists, the ``auto``
-  default there); ``gemm`` is the same kernel without the dedup: every
-  list entry is a node source and each body's own point leaf is
-  zeroed, because the expanded form would otherwise difference two
-  huge near-equal products.
+  *all* groups are prepared once per epoch as rectangle blocks (target
+  rows x sources) and evaluated as a few large batch kernels with the
+  ``x^2 + y^2 - 2 x.y`` algebra, so the hot reductions are BLAS
+  matmuls.  ``flat`` dedupes the symmetric near field Newton's-third-law
+  style, one tile per block serving both sides (the production host
+  path, the ``auto`` default inside a ``Simulation``); ``gemm`` is the
+  same kernel without the dedup: every list entry is a node source and
+  each body's own point leaf is excluded.
 """
 
 from __future__ import annotations
@@ -232,13 +231,14 @@ def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
     Tile for one-body groups, whose contract is bit-exactness with the
     lockstep kernels; otherwise flat when the caller passes an entry
     dict (*amortized*), gemm when it passes none.  The entry amortizes
-    flat's index expansion only when it outlives the call — the
+    flat's block preparation only when it outlives the call — the
     maintainer's epoch entry does; a rebuild-every-step run's per-call
-    entry does not, so there every call pays the expansion, which is
-    built at list-entry level and costs little next to the evaluation.
-    Flat wins the modeled seconds through its near-field dedup
-    (EXPERIMENTS.md compares both clocks against gemm).  Explicit modes
-    pass through; unknown ones raise.
+    entry does not, so there every call pays the preparation, which
+    works on list entries and runs, never pairs, and costs a fraction
+    of the evaluation.  Flat and gemm run the same block kernel; flat
+    wins the modeled seconds through its near-field dedup, gemm still
+    the host seconds by ~25 % (EXPERIMENTS.md compares both clocks).
+    Explicit modes pass through; unknown ones raise.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown eval mode {mode!r}")

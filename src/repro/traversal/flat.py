@@ -2,56 +2,48 @@
 
 The per-group tile kernel of :mod:`repro.traversal.engine` pays a
 Python-loop iteration plus a handful of small-array temporaries for
-every group.  At production group sizes that loop — not the arithmetic
-— dominates *host* wall-clock.  This module trades it for a few large
-kernels, prepared once per list epoch (:func:`build_flat_lists`) and
-cached alongside the lists in the structure cache.  Only *indices* are
-cached: masses and centres of mass are gathered from the live
-:class:`~repro.traversal.engine.TreeView` every step, so the
-preparation survives refits unchanged.
+every group; at production group sizes that loop dominates host time.
+This module trades it for a few large kernels over index arrays
+prepared once per list epoch (:func:`build_flat_lists`) and cached with
+the lists.  Positions, masses and centres of mass are gathered every
+step, so the preparation survives refits unchanged.
 
-* **Node sources in dense batches** — every group's node sources are
-  packed into :class:`DenseBucket`\\ s: groups of similar list length,
-  padded to a common width and evaluated as a few ``(groups, rows,
-  nodes)`` batched kernels with the ``x^2 + c^2 - 2 x.c`` algebra, so
-  the per-pair arithmetic stays in BLAS.  Accepted nodes carry the
-  quadrupole term on order-2 trees.  With Newton's third law off the
-  direct leaves join as monopole nodes, and a row meeting its own point
-  leaf is zeroed through its bucket's self slots — that form *is*
-  ``eval_mode="gemm"``: the same kernel as flat, without the dedup.
+* **Rectangle blocks** — all work is blocks of target rows ``I`` x
+  sources ``J``, padded into :class:`DenseBucket`\\ s of similar shape
+  and run by one kernel, the i/j-blocked tile of Bonsai and of Tokuue &
+  Ishiyama.  It forms one ``r^-3`` tile per block with the block-centred
+  ``x^2 + y^2 - 2 x.y`` algebra in BLAS, takes row sums from ``P @ [m_J
+  y_J | m_J]`` and a two-sided block's reaction on ``J`` from ``P^T @
+  [m_I x_I | m_I]`` on the same tile.  Direct slots the algebra cannot
+  resolve (:data:`CANCEL`) are evaluated from explicit differences, so
+  coincident bodies get exactly zero weight at ``eps2 = 0``.
 
-* **Newton's third law** — direct body-body work (point leaves and,
-  for the octree, bucket-leaf bodies) appears in ordered form: group
-  ``A``'s list names body ``j`` *and* group ``B``'s list names body
-  ``i``.  Pairs seen from both sides are evaluated once and the force
-  scatter-accumulated to *both* bodies with opposite sign — halving
-  that share of the near-field inverse-square-root work.  One-sided
-  pairs (the partner was absorbed into an accepted multipole on the
-  other side) keep their original orientation.  Which pairs are
-  two-sided is decided at list-entry level, never per pair: every row
-  of group ``A`` meets exactly ``A``'s direct entries, so pair
-  ``(i, j)`` is two-sided iff the entry ``(group of j, i)`` exists.
-  The entries are sorted by ``(group, source row)`` and cut into runs
-  of one source group; each ``(row, run)`` combination is classified
-  by one ``searchsorted`` mirror lookup and expanded by range
-  concatenation, which emits both pools already in ``(target,
-  source)`` order.  Memory is O(entries + rows x runs) besides the
-  pools themselves — no pair-level sort and no dense
-  ``rows x groups`` table.
+* **Kinds** — ``node``: a group's accepted nodes (with the quadrupole
+  term on order-2 trees).  ``leaf``: without Newton's third law, a
+  group's direct leaves as monopole nodes, each row's own leaf excluded
+  through the bucket's self slots; node plus leaf buckets *are*
+  ``eval_mode="gemm"``.  ``two`` / ``tri`` / ``one``: the near field
+  under Newton's third law (n3l).
 
-* **Scatter determinism** — the body pools' target-side reduction uses
-  ``np.add.reduceat`` over row-sorted segments and the reaction-side
-  scatter uses ``np.bincount``; both accumulate in index order
-  deterministically (unlike a parallel ``np.add.at``), so batch
-  evaluation is bitwise reproducible run to run.  Their summation
-  order differs from the tile kernel's per-group order, so the batches
-  match tile only to rounding (~1e-15 relative); the tile mode remains
-  the bit-exactness reference against the lockstep kernels.
+* **Newton's third law** — every row of group ``A`` meets exactly
+  ``A``'s direct entries, so pair ``(i, j)`` is two-sided iff the mirror
+  entry ``(group of j, i)`` exists, and the near field between ``A`` and
+  a source group ``B`` is decided at entry level, never per pair.  The
+  direct entries (bucket-leaf bodies folded in) are sorted by ``(group,
+  source row)`` and cut into runs of one ``(A, B)``: ``J`` is the run,
+  and ``I``, the rows of ``A`` that ``B`` lists, is the mirror run
+  ``(B, A)``, found by one ``searchsorted``.  Each run yields a
+  two-sided block ``I x J`` when ``B > A`` (``tri``, its strict upper
+  triangle, when ``B = A``), evaluated once for both bodies — halving
+  that share of the work — and a one-sided block of ``A``'s other rows
+  x ``J`` (the mirror was absorbed into an accepted multipole), target
+  side only.  Runs of one ``A`` with the same ``I`` merge along ``J``.
+  Nothing is expanded to pairs.
 
-The body-pair kernels stream over fixed-size blocks (:data:`BLOCK`
-pairs) and the dense batches over chunks of ~2 MB, all through
-preallocated scratch pools sized to stay cache-resident; steady-state
-steps allocate nothing proportional to the pair count.
+* **Determinism** — row sums and reactions are scattered once per call
+  with ``np.bincount``, which sums in index order, so results are
+  bitwise reproducible run to run.  They match the tile kernel to
+  rounding (~1e-15 relative); tile stays the bit-exactness reference.
 """
 
 from __future__ import annotations
@@ -62,145 +54,123 @@ from typing import Callable
 
 import numpy as np
 
+from repro.physics.local_expansion import scatter_add
 from repro.physics.multipole import quadrupole_accel
 from repro.traversal.engine import InteractionLists, TreeView
 from repro.traversal.groups import BodyGroups
-from repro.types import FLOAT, INDEX
+from repro.types import FLOAT
 
-#: Pairs per kernel block.  Chosen so one block's float scratch
-#: (~90 bytes/pair) fits in the last-level cache with room to spare:
-#: the per-pair temporaries then never round-trip through DRAM and the
-#: only streaming traffic is the index arrays themselves.
-BLOCK = 1 << 15
+#: Slots per kernel chunk: one chunk's ``r^-3`` tile (512 kB) and its
+#: row and column operands stay cache-resident through the passes over
+#: it.
+CHUNK_SLOTS = 1 << 16
 
 #: Slots per quadrupole sub-batch.  The order-2 term materializes a
 #: 3x3 tensor per (row, node) slot, so it runs on sub-batches about the
 #: size of one group's tile, which keeps those temporaries in cache.
 QUAD_SLOTS = 1 << 12
 
+#: Direct slots whose algebraic ``r^2`` is at most this fraction of the
+#: squared extent of the block's rows are taken out of the tile and
+#: evaluated from explicit differences.  The algebra's rounding is a few
+#: ulps of that extent, so every slot kept carries ``r^2`` to ~1e-13
+#: relative, and coincident bodies (an algebraic residue, an explicit
+#: zero) get exactly zero weight.  Accepted nodes are separated by the
+#: MAC and only checked for ``r^2 <= 0``.
+CANCEL = 2.0 ** -8
+
+#: Kinds whose columns are body rows (sorted order), not tree nodes.
+BODY_KINDS = ("one", "two", "tri")
+#: Kinds that scatter the reaction on their columns, too.
+MUTUAL_KINDS = ("two", "tri")
+
 
 def _idx_dtype(bound: int):
     """Narrowest index dtype covering ``[0, bound)`` — int32 halves the
-    streamed bytes per pair, which is the dominant DRAM traffic."""
+    streamed index bytes."""
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-@dataclass(frozen=True)
-class Segments:
-    """Run-length view of a sorted target-index array.
-
-    ``starts[i]`` is the pool position where the run of ``rows[i]``
-    begins; runs are maximal, so ``rows`` is strictly increasing and
-    ``starts[0] == 0``.  :func:`_segment_add` turns a block of per-pair
-    contributions into one ``np.add.reduceat`` over these boundaries.
-    """
-
-    starts: np.ndarray
-    rows: np.ndarray
-
-
-def _segments(idx_sorted: np.ndarray) -> Segments:
-    if idx_sorted.shape[0] == 0:
-        z = np.empty(0, dtype=np.int64)
-        return Segments(z, z.copy())
-    first = np.empty(idx_sorted.shape[0], dtype=bool)
-    first[0] = True
-    np.not_equal(idx_sorted[1:], idx_sorted[:-1], out=first[1:])
-    starts = np.nonzero(first)[0]
-    return Segments(starts, idx_sorted[starts].astype(np.int64))
-
-
-def _segment_add(acc: np.ndarray, contrib: np.ndarray, p0: int,
-                 segs: Segments) -> None:
-    """``acc[row] += contrib`` for the block at pool offset *p0*.
-
-    Block boundaries need not align with segment boundaries: a run
-    split across blocks contributes partial sums to the same row from
-    each block.  Rows within one block are unique, so the final fancy
-    add is well-defined (and, like ``reduceat``, index-ordered).
-    """
-    b = contrib.shape[0]
-    j0 = int(np.searchsorted(segs.starts, p0, side="right")) - 1
-    j1 = int(np.searchsorted(segs.starts, p0 + b, side="left"))
-    bnd = segs.starts[j0:j1] - p0
-    if bnd[0] < 0:
-        bnd[0] = 0  # fresh slice-difference array; safe to clamp
-    acc[segs.rows[j0:j1]] += np.add.reduceat(contrib, bnd, axis=0)
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each of *lengths*' ranges begins."""
+    return np.cumsum(lengths, dtype=np.int64) - lengths
 
 
 @dataclass(frozen=True)
 class DenseBucket:
-    """A batch of groups with similar list lengths, padded to a common
-    width ``K`` for one 3-D batched evaluation.
+    """Rectangle blocks of similar shape, padded to a common ``(B, K)``
+    for one batched evaluation.
 
-    ``node_mat[i, :]`` holds group ``i``'s node sources padded with a
-    sentinel node (zero mass, far-away centre) and ``row_mat[i, :]`` its
-    member rows padded with a sentinel row, so the whole bucket runs as
-    a handful of ``(chunk, B, K)`` dense kernels — the gemm algebra
-    without a per-group Python loop.
+    ``row_mat[i, :]`` holds block ``i``'s target rows padded with the pad
+    row, ``col_mat[i, :]`` its sources — tree nodes for ``node`` and
+    ``leaf`` blocks, body rows otherwise — padded with a zero-mass pad
+    source; real entries come first, in ascending order for body
+    blocks.  The whole bucket runs as a handful of ``(chunk, B, K)``
+    dense kernels without a per-block Python loop.
     """
 
-    node_mat: np.ndarray  # (G_b, K) int
     row_mat: np.ndarray   # (G_b, B) int
-    #: Real (unpadded) rows and columns of each group.
+    col_mat: np.ndarray   # (G_b, K) int
+    #: Real (unpadded) rows and columns of each block.
     n_rows: np.ndarray    # (G_b,)
     n_cols: np.ndarray    # (G_b,)
-    #: True when the columns are accepted nodes (quadrupole-carrying on
-    #: order-2 trees); False for direct leaves folded in as monopoles.
-    approx: bool = True
-    #: Where a row meets its own point leaf: each such row's column
-    #: index, flattened to its position ``(i * B + row) * K + col`` in
-    #: the bucket's slots, ascending; the kernel zeroes these weights.
-    #: None when no row does.
+    #: ``node``, ``leaf``, ``one``, ``two`` or ``tri`` (module docstring).
+    kind: str = "node"
+    #: Where a row meets its own point leaf (``leaf`` blocks): each such
+    #: row's column index, flattened to its position ``(i * B + row) *
+    #: K + col`` in the bucket's slots, ascending; the kernel gives these
+    #: slots zero weight.  None when no row does.
     self_slots: np.ndarray | None = None
 
     @property
     def n_real(self) -> int:
-        """Unpadded (row, node) slots, for the interaction counters."""
+        """Unpadded slots — the strict upper triangle of a ``tri`` block
+        — for the interaction counters."""
+        if self.kind == "tri":
+            return int(self.n_rows @ (self.n_rows - 1)) // 2
         return int(self.n_rows @ self.n_cols)
 
 
 @dataclass
 class FlatLists:
-    """One epoch's interaction lists, prepared for batch evaluation.
-
-    * node sources — :class:`DenseBucket` batches of accepted multipoles
-      (and, when n3l is off, of direct leaves as monopole nodes);
-    * two-sided body pairs ``(s_t, s_s)`` with ``s_t < s_s`` — near
-      pairs seen from both sides, evaluated once, scattered to both;
-    * one-sided body pairs ``(o_t, o_s)`` — near pairs whose mirror was
-      approximated away; original orientation, target side only.
-
-    The body pools are in sorted-row space and row-major (sorted by
-    target row, so the target-side scatter is a segment reduction).
-    """
+    """One epoch's interaction lists, prepared for batch evaluation as
+    :class:`DenseBucket`\\ s of rectangle blocks, all in sorted-row
+    space."""
 
     buckets: list
-    s_t: np.ndarray
-    s_s: np.ndarray
-    s_segs: Segments
-    o_t: np.ndarray
-    o_s: np.ndarray
-    o_segs: Segments
     #: Ordered near-field body pairs before dedup (self pairs excluded);
     #: ``pairs_naive / pairs_evaluated`` is the n3l dedup ratio.
     pairs_naive: int
     #: True when bucket-leaf (KLASS_EXACT) bodies were folded into the
-    #: body pools, letting the caller skip its scalar exact loop.
+    #: near-field blocks, letting the caller skip its scalar exact loop.
     includes_exact: bool
     _scratch: dict = field(default_factory=dict, repr=False)
+    #: Where the kernel's output rows land: every bucket's ``row_mat``,
+    #: then, for two-sided kinds, its ``col_mat``, flattened.
+    targets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        parts = [np.empty(0, dtype=np.int64)]
+        for b in self.buckets:
+            parts.append(b.row_mat.reshape(-1))
+            if b.kind in MUTUAL_KINDS:
+                parts.append(b.col_mat.reshape(-1))
+        self.targets = np.concatenate(parts)
+
+    def _slots(self, *kinds: str) -> int:
+        return sum(b.n_real for b in self.buckets if b.kind in kinds)
 
     @property
     def n_node_pairs(self) -> int:
-        return sum(b.n_real for b in self.buckets)
+        return self._slots("node", "leaf")
 
     @property
     def n_two_sided(self) -> int:
-        return int(self.s_t.shape[0])
+        return self._slots(*MUTUAL_KINDS)
 
     @property
     def n_one_sided(self) -> int:
-        return int(self.o_t.shape[0])
+        return self._slots("one")
 
     @property
     def pairs_evaluated(self) -> int:
@@ -218,110 +188,73 @@ class FlatLists:
         return b[:size].reshape(shape)
 
 
-def _row_major_expand(
-    sub_nodes: np.ndarray,
-    sub_counts: np.ndarray,
-    grow: np.ndarray,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand a per-group entry subset into row-major flat pairs.
-
-    *sub_nodes* holds the subset's entries concatenated in group order,
-    *sub_counts* the per-group subset sizes, *grow* the group of each
-    sorted row.  Returns ``(row, pos, rc)`` where ``row[i]`` is the
-    target row of flat pair ``i`` (sorted ascending), ``pos[i]`` indexes
-    into *sub_nodes*, and ``rc`` is the per-row pair count.  The caller
-    gathers ``sub_nodes[pos]`` (and any parallel entry array) itself.
-    """
-    suboff = np.concatenate(
-        ([0], np.cumsum(sub_counts, dtype=np.int64)))
-    rc = sub_counts[grow]
-    row_ptr = np.concatenate(([0], np.cumsum(rc, dtype=np.int64)))
-    total = int(row_ptr[-1])
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), rc
-    row = np.repeat(np.arange(n, dtype=np.int64), rc)
-    # pos = subset start of the row's group + offset within the row.
-    pos = np.arange(total, dtype=np.int64)
-    pos += np.repeat(suboff[grow] - row_ptr[:-1], rc)
-    return row, pos, rc
+def _padded(src: np.ndarray, lo: np.ndarray, ln: np.ndarray, width: int,
+            pad: int, dtype) -> np.ndarray:
+    """Ranges ``src[lo[i]:lo[i] + ln[i]]`` as rows of a ``width``-wide
+    matrix, padded with *pad*: gather with clipped positions, then
+    overwrite the tail."""
+    pos = lo[:, None] + np.arange(width, dtype=np.int64)
+    np.minimum(pos, (lo + ln - 1)[:, None], out=pos)
+    mat = src[pos].astype(dtype, copy=False)
+    mat[np.arange(width) >= ln[:, None]] = pad
+    return np.ascontiguousarray(mat)
 
 
-def _expand_ranges(
+def _pack(
+    kind: str,
     rows: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    vals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``vals[lo[k]:hi[k]]`` over ranges ``k``, each tagged
-    with ``rows[k]``: returns ``(row, val)`` pair arrays in range order
-    (*vals*'s dtype for both)."""
-    ln = hi - lo
-    pos = np.arange(int(ln.sum()), dtype=np.int64)
-    pos += np.repeat(lo - (np.cumsum(ln) - ln), ln)
-    return np.repeat(rows.astype(vals.dtype), ln), vals[pos]
-
-
-def _dense_buckets(
-    nodes: np.ndarray,
-    counts: np.ndarray,
-    groups: BodyGroups,
-    n: int,
-    nn: int,
-    *,
-    approx: bool = True,
+    row_lo: np.ndarray,
+    row_len: np.ndarray,
+    cols: np.ndarray,
+    col_lo: np.ndarray,
+    col_len: np.ndarray,
+    row_pad: int,
+    col_pad: int,
     self_col: np.ndarray | None = None,
 ) -> list:
-    """Pack per-group node lists into padded :class:`DenseBucket`\\ s.
+    """Pack blocks ``rows[row_lo:+row_len] x cols[col_lo:+col_len]`` into
+    padded :class:`DenseBucket`\\ s.
 
-    *nodes* holds the lists concatenated in group order, *counts* their
-    lengths.  Groups are sorted by list length and cut into buckets
-    whenever the pad waste against the bucket's widest list would
-    exceed ~25%, so the padded slot count stays within a small factor
-    of the real one.  Sentinels: node ``nn`` (zero mass, centre placed
-    just outside the occupied box so its weight is finite but
-    multiplied away) and row ``n`` (accumulates into a discarded extra
-    row).  *self_col* (``n + 1`` entries, -1 for none) is the column
-    within its group's list of each row's own point leaf.
+    Blocks without columns are dropped.  The rest are binned by row
+    count in power-of-two classes, sorted by column count within a
+    class, and cut wherever a block is less than half as wide as the
+    bucket's widest, so every block fills at least a quarter of its
+    padded tile: each bucket costs a fixed ~50 numpy calls per chunk,
+    which at these block sizes outweighs the padding.  *self_col*
+    (``row_pad + 1`` entries, -1 for none) is the column of each row's
+    own point leaf within its block.
     """
-    ndt = _idx_dtype(nn + 1)
-    rdt = _idx_dtype(n + 1)
-    go = groups.offsets.astype(np.int64)
-    gsz = np.diff(go)
-    bmax = int(gsz.max()) if gsz.size else 0
-    aoff = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    nz = np.nonzero(counts)[0]
-    order = nz[np.argsort(counts[nz], kind="stable")][::-1]
+    keep = np.flatnonzero(col_len > 0)
+    if keep.size == 0:
+        return []
+    rcls = np.floor(np.log2(row_len[keep]))
+    o = np.lexsort((-col_len[keep], -rcls))
+    order = keep[o]
+    k_sorted = col_len[order]
+    cls_end = np.append(np.flatnonzero(np.diff(rcls[o])) + 1, order.size)
+    rdt = _idx_dtype(row_pad + 1)
+    cdt = _idx_dtype(col_pad + 1)
     buckets: list = []
     i = 0
-    while i < order.size:
-        kmax = int(counts[order[i]])
-        j = i + 1
-        while j < order.size and int(counts[order[j]]) * 4 >= kmax * 3:
-            j += 1
-        gids = order[i:j]
-        ks = counts[gids]
-        # CSR rows -> padded matrix: gather with clipped positions,
-        # then overwrite the pad tail with the sentinel node.
-        src = aoff[gids][:, None] + np.arange(kmax, dtype=np.int64)
-        np.minimum(src, (aoff[gids] + ks - 1)[:, None], out=src)
-        node_mat = nodes[src].astype(ndt, copy=False)
-        node_mat[np.arange(kmax)[None, :] >= ks[:, None]] = nn
-        row_mat = (go[gids][:, None]
-                   + np.arange(bmax, dtype=np.int64))
-        row_mat[row_mat >= go[gids + 1][:, None]] = n
-        slots = None
-        if self_col is not None:
-            sc = self_col[row_mat]
-            gi, r = np.nonzero(sc >= 0)
-            if gi.size:
-                slots = (gi * bmax + r) * kmax + sc[gi, r]
-        buckets.append(DenseBucket(
-            np.ascontiguousarray(node_mat),
-            np.ascontiguousarray(row_mat.astype(rdt)),
-            gsz[gids], ks, approx, slots))
-        i = j
+    for end in cls_end.tolist():
+        while i < end:
+            kmax = int(k_sorted[i])
+            j = i + int(np.searchsorted(-k_sorted[i:end], -0.5 * kmax,
+                                        side="right"))
+            blk = order[i:j]
+            nr, nc = row_len[blk], col_len[blk]
+            bmax = int(nr.max())
+            row_mat = _padded(rows, row_lo[blk], nr, bmax, row_pad, rdt)
+            slots = None
+            if self_col is not None:
+                sc = self_col[row_mat]
+                gi, r = np.nonzero(sc >= 0)
+                if gi.size:
+                    slots = (gi * bmax + r) * kmax + sc[gi, r]
+            buckets.append(DenseBucket(
+                row_mat, _padded(cols, col_lo[blk], nc, kmax, col_pad, cdt),
+                nr, nc, kind, slots))
+            i = j
     return buckets
 
 
@@ -347,10 +280,90 @@ def _self_columns(
     e_g = np.repeat(np.arange(groups.n_groups, dtype=np.int64), cd)
     go = groups.offsets.astype(np.int64)
     own = np.nonzero(ok & (src >= go[e_g]) & (src < go[e_g + 1]))[0]
-    doff = np.concatenate(([0], np.cumsum(cd, dtype=np.int64)))
     self_col = np.full(n + 1, -1, dtype=np.int64)
-    self_col[src[own]] = own - doff[e_g[own]]
+    self_col[src[own]] = own - _starts(cd)[e_g[own]]
     return self_col
+
+
+def _row_ids(keys: np.ndarray) -> np.ndarray:
+    """Ids ``0..`` of the distinct rows of the 2-D array *keys*: equal
+    rows share an id."""
+    order = np.lexsort(keys.T)
+    srt = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids
+
+
+def _near_blocks(e_g: np.ndarray, e_j: np.ndarray, e_b: np.ndarray,
+                 go: np.ndarray, n: int) -> list:
+    """The n3l near field as ``two`` / ``tri`` / ``one`` buckets.
+
+    *e_g*, *e_j*, *e_b* are the direct entries (target group, source
+    row, source group), sorted by ``(group, source row)``; *go* the
+    group offsets.  Rows and columns of every block come out ascending.
+    """
+    ne = e_g.size
+    gsz = np.diff(go)
+    ng = gsz.size
+    brk = np.empty(ne, dtype=bool)
+    brk[0] = True
+    brk[1:] = (e_g[1:] != e_g[:-1]) | (e_b[1:] != e_b[:-1])
+    r_lo = np.flatnonzero(brk)
+    r_len = np.diff(np.append(r_lo, ne))
+    nrun = r_lo.size
+    run_of = np.repeat(np.arange(nrun, dtype=np.int64), r_len)
+    a, b = e_g[r_lo], e_b[r_lo]
+    # The mirror run (B, A) holds I, the rows of A that B lists; the
+    # runs are sorted by (A, B), so one searchsorted finds it.
+    rkey = a * ng + b
+    q = b * ng + a
+    rev = np.minimum(np.searchsorted(rkey, q), nrun - 1)
+    has = rkey[rev] == q
+    # I of every run as a mask over A's rows: the entries of run (B, A)
+    # are rows of A, marked in the row of its mirror (A, B).
+    gmax = int(gsz.max())
+    in_i = np.zeros((nrun, gmax), dtype=bool)
+    e = np.flatnonzero(has[run_of])
+    in_i[rev[run_of[e]], e_j[e] - go[e_b[e]]] = True
+    whole = np.count_nonzero(in_i, axis=1) == gsz[a]  # B lists all of A
+    others = ~in_i & (np.arange(gmax) < gsz[a][:, None])
+    # Runs of one A with the same I share the rows of their blocks: I
+    # as 64-bit words, then equal (A, words) rows get one id.
+    words = np.packbits(in_i, axis=1)
+    words = np.pad(words, ((0, 0), (0, -words.shape[1] % 8))).view(np.uint64)
+    rowset = _row_ids(np.column_stack((a.astype(np.uint64), words)))
+    kinds = (
+        # kind, runs, merge key, row membership
+        ("two", has & (b > a), rowset, in_i),
+        ("tri", (b == a) & (r_len > 1), np.arange(nrun), in_i),
+        ("one", ~whole, rowset, others),
+    )
+    blocks: list = []
+    for kind, sel, key, members in kinds:
+        r = np.flatnonzero(sel)
+        if r.size == 0:
+            continue
+        # Blocks with the same rows merge along J.
+        _, blk = np.unique(key[r], return_inverse=True)
+        nb = int(blk.max()) + 1
+        o = np.argsort(blk, kind="stable")  # runs in block order
+        first = r[o[_starts(np.bincount(blk, minlength=nb))]]
+        bi, pos = np.nonzero(members[first])
+        rows = go[a[first]][bi] + pos
+        row_len = np.bincount(bi, minlength=nb)
+        col_len = np.bincount(blk, weights=r_len[r], minlength=nb)
+        col_len = col_len.astype(np.int64)
+        # Columns: each block's runs' entries, laid out in block order
+        # (run order within a block, so ascending rows).
+        ln = r_len[r[o]]
+        cols = e_j[np.repeat(r_lo[r[o]] - _starts(ln), ln)
+                   + np.arange(int(ln.sum()))]
+        blocks += _pack(kind, rows, _starts(row_len), row_len,
+                        cols, _starts(col_len), col_len, n, n + 1)
+    return blocks
 
 
 def build_flat_lists(
@@ -362,33 +375,31 @@ def build_flat_lists(
     exact_bodies: Callable[[int], np.ndarray] | None = None,
     n3l: bool = True,
 ) -> FlatLists:
-    """Pack *lists* into batches and split the near field by n3l, once
-    per epoch.
+    """Pack *lists* into rectangle-block batches, once per epoch.
 
     ``body_ids`` maps sorted rows into ``view.point_body``'s id space
     (identity when omitted).  Ids outside the local sorted range —
     the distributed runtime's foreign-target sentinel is negative —
     disable n3l.  Without n3l every entry stays a node source: direct
     leaves are batched as monopole nodes and each row's own leaf is
-    zeroed, which is the one-sided semantics of ``eval_mode="gemm"``
+    excluded, which is the one-sided semantics of ``eval_mode="gemm"``
     and of halo targets.  ``exact_bodies`` is a ``node -> body ids``
     callback (octree bucket leaves); when given under n3l, bucket bodies
-    are folded into the body pools and :attr:`FlatLists.includes_exact`
-    is set.
+    are folded into the near-field blocks and
+    :attr:`FlatLists.includes_exact` is set.
     """
     n = groups.n_bodies
     ng = lists.n_groups
     nn = view.com.shape[0]
-    rdt = _idx_dtype(max(n, 1))
-    empty = np.empty(0, dtype=rdt)
 
     counts = np.diff(lists.offsets).astype(np.int64)
-    gsz = np.diff(groups.offsets).astype(np.int64)
-    grow = np.repeat(np.arange(ng, dtype=np.int64), gsz)
+    go = groups.offsets.astype(np.int64)
+    gsz = np.diff(go)
     off = lists.offsets.astype(np.int64)
     apref = np.concatenate(
         ([0], np.cumsum(lists.approx, dtype=np.int64)))
     ca = apref[off[1:]] - apref[off[:-1]]  # approx entries per group
+    cd = counts - ca
 
     ids = None if body_ids is None else np.asarray(body_ids)
     foreign = ids is not None and (ids.size == 0 or bool((ids < 0).any()))
@@ -402,27 +413,23 @@ def build_flat_lists(
 
     approx = lists.approx
     dnodes = lists.nodes[~approx]
-    buckets = _dense_buckets(lists.nodes[approx], ca, groups, n, nn)
+    group_rows = (np.arange(n, dtype=np.int64), go[:-1], gsz)
+    buckets = _pack("node", *group_rows, lists.nodes[approx], _starts(ca),
+                    ca, n, nn)
 
     if not n3l:
-        cd = counts - ca
         self_col = None
         if not foreign:
             self_col = _self_columns(view, dnodes, cd, groups, row_of)
-        buckets += _dense_buckets(dnodes, cd, groups, n, nn,
-                                  approx=False, self_col=self_col)
-        no_segs = _segments(empty)
-        return FlatLists(buckets, empty, empty, no_segs, empty, empty,
-                         no_segs, pairs_naive=0, includes_exact=False)
+        buckets += _pack("leaf", *group_rows, dnodes, _starts(cd), cd, n, nn,
+                         self_col)
+        return FlatLists(buckets, pairs_naive=0, includes_exact=False)
 
     # ---- direct entries (group, source row), sorted -----------------
-    # Every row of group A meets exactly A's direct entries, so the
-    # near field is decided at entry level: ordered pair (i, j) exists
-    # iff entry (A, j) does (A = group of i), and is two-sided iff the
-    # mirror entry (group of j, i) exists too.  A source appears at most
-    # once per list (every body lives in exactly one leaf), so the
-    # (group, row) keys are unique.
-    e_g = np.repeat(np.arange(ng, dtype=np.int64), counts - ca)
+    # A source appears at most once per list (every body lives in
+    # exactly one leaf), so the (group, row) keys are unique.
+    grow = np.repeat(np.arange(ng, dtype=np.int64), gsz)
+    e_g = np.repeat(np.arange(ng, dtype=np.int64), cd)
     e_j = view.point_body[dnodes].astype(np.int64)
     if row_of is not None:
         e_j = row_of[e_j]
@@ -442,78 +449,49 @@ def build_flat_lists(
     e_b = grow[e_j]  # source group of each entry
     # Every entry meets |A| rows; a source row in A meets itself once.
     pairs_naive = int(gsz[e_g].sum()) - int(np.count_nonzero(e_b == e_g))
-
     if key.size:
-        # Runs of one (A, source group B); runs are in group order, so
-        # group A's runs are a contiguous CSR row of their own.
-        brk = np.empty(key.size, dtype=bool)
-        brk[0] = True
-        brk[1:] = (e_g[1:] != e_g[:-1]) | (e_b[1:] != e_b[:-1])
-        r_lo = np.nonzero(brk)[0]
-        r_hi = np.append(r_lo[1:], key.size)
-        nrun = np.bincount(e_g[r_lo], minlength=ng)
-        c_row, c_run, _ = _row_major_expand(r_lo, nrun, grow, n)
-        lo, hi = r_lo[c_run], r_hi[c_run]
-        a, b = e_g[lo], e_b[lo]
-        # The mirror of every pair (i, j in run) is the one entry (B, i).
-        q = b * np.int64(n) + c_row
-        p = np.searchsorted(key, q)
-        mirrored = key[np.minimum(p, key.size - 1)] == q
-        # Two-sided pairs are kept from their lower row.  Groups are
-        # ascending row ranges, so that is whole runs with B > A and,
-        # within A's own run, the part past the self entry (which is
-        # the mirror, at p).  Unmirrored runs hold no self pair and are
-        # one-sided whole.
-        two = mirrored & (b >= a)
-        lo2 = np.where(b == a, p + 1, lo)[two]
-        one = ~mirrored
-        # Combinations run row by row, runs by source group, entries by
-        # row: the expansion is already (target, source)-sorted.
-        j_rows = e_j.astype(rdt)
-        s_t, s_s = _expand_ranges(c_row[two], lo2, hi[two], j_rows)
-        o_t, o_s = _expand_ranges(c_row[one], lo[one], hi[one], j_rows)
-    else:
-        s_t = s_s = o_t = o_s = empty
-
-    return FlatLists(
-        buckets,
-        s_t, s_s, _segments(s_t),
-        o_t, o_s, _segments(o_t),
-        pairs_naive=pairs_naive, includes_exact=includes_exact,
-    )
+        buckets += _near_blocks(e_g, e_j, e_b, go, n)
+    return FlatLists(buckets, pairs_naive=pairs_naive,
+                     includes_exact=includes_exact)
 
 
 def _eval_buckets(
     view: TreeView,
     flat: FlatLists,
     x_sorted: np.ndarray,
+    m_sorted: np.ndarray | None,
     G: float,
     eps2: float,
-    acc: np.ndarray,
-) -> tuple[int, int]:
-    """``acc +=`` every node source's pull, bucket by bucket.
+) -> tuple[np.ndarray, int, int]:
+    """Every bucket's pull, block by block.
 
-    Returns ``(interactions, quad_terms)``: the slots with a nonzero
-    weight, and the accepted-node slots that carried a quadrupole term.
+    Returns ``(acc, interactions, quad_terms)``: the accelerations, the
+    slots with a nonzero weight (both directions of a two-sided slot),
+    and the accepted-node slots that carried a quadrupole term.
     """
     n, dim = x_sorted.shape
     com, quad = view.com, view.quad
-    softened = eps2 > 0.0
-    nonzero = 0
-    quad_terms = 0
     nn = com.shape[0]
-    com_ext = flat.buf("com_ext", (nn + 1, dim))
-    com_ext[:nn] = com
-    # Pad-node centre: outside the occupied box so r2 >= 1 for every
-    # row, but of the same magnitude as the data — extreme values would
-    # push ``pow`` onto its (~30x slower) slow path.  The pad's zero
-    # mass is what actually cancels its weight.
+    # Pads: the pad row below the occupied box, the pad sources above
+    # it, so every pad slot has r2 >= 1 and stays clear of the
+    # cancellation check, yet of the data's magnitude.  The pads' zero
+    # masses are what cancel their weights.
     lo = x_sorted.min(axis=0)
     hi = x_sorted.max(axis=0)
-    com_ext[nn] = hi + (hi - lo) + 1.0
-    # G folded into the gathered masses: one multiply per node, not
-    # per pair.
-    gme = flat.buf("gm_ext", (nn + 1,))
+    x_ext = flat.buf("x_ext", (n + 2, dim))
+    x_ext[:n] = x_sorted
+    x_ext[n] = lo - (hi - lo) - 1.0
+    x_ext[n + 1] = hi + (hi - lo) + 1.0
+    # G folded into the gathered masses: one multiply per source, not
+    # per slot.
+    gm_ext = flat.buf("gm_ext", (n + 2,))
+    gm_ext[:] = 0.0
+    if m_sorted is not None:
+        np.multiply(np.asarray(m_sorted, dtype=FLOAT), G, out=gm_ext[:n])
+    com_ext = flat.buf("com_ext", (nn + 1, dim))
+    com_ext[:nn] = com
+    com_ext[nn] = x_ext[n + 1]
+    gme = flat.buf("gme", (nn + 1,))
     np.multiply(view.mass, G, out=gme[:nn])
     gme[nn] = 0.0
     quad_ext = None
@@ -521,100 +499,170 @@ def _eval_buckets(
         quad_ext = flat.buf("quad_ext", (nn + 1, dim, dim))
         quad_ext[:nn] = quad
         quad_ext[nn] = 0.0  # the pad node carries no quadrupole
-    x_ext = flat.buf("x_ext", (n + 1, dim))
-    x_ext[:n] = x_sorted
-    x_ext[n] = 0.0
-    acc_ext = flat.buf("acc_ext", (n + 1, dim))
-    acc_ext[:] = 0.0
+    # Row sums and reactions land in *out*, in the order of
+    # ``flat.targets``, and are scattered once at the end.
+    out = flat.buf("out", (flat.targets.size, dim))
+    o = 0
+    # Explicit contributions of the slots left out of the tiles.
+    near_t: list[np.ndarray] = []
+    near_a: list[np.ndarray] = []
+    nonzero = quad_terms = 0
     for bucket in flat.buckets:
-        gb, K = bucket.node_mat.shape
+        kind = bucket.kind
+        direct = kind != "node"
+        mutual = kind in MUTUAL_KINDS
+        src_x, src_m = ((x_ext, gm_ext) if kind in BODY_KINDS
+                        else (com_ext, gme))
+        gb, K = bucket.col_mat.shape
         B = bucket.row_mat.shape[1]
         BK = B * K
-        gc = max(1, (1 << 18) // BK)  # ~2 MB chunk scratch
-        gc = min(gc, gb)
-        P = flat.buf("dP", (gc, B, K))
-        C = flat.buf("dC", (gc, K, dim))
-        MN = flat.buf("dM", (gc, K))
-        c2 = flat.buf("dc2", (gc, K))
-        X = flat.buf("dX", (gc, B, dim))
-        F = flat.buf("dF", (gc, B, dim))
-        x2 = flat.buf("dx2", (gc, B))
-        msk = None
-        if not softened:
-            msk = flat.buf("dK", (gc, B, K), dtype=bool)
+        gc = min(gb, max(1, CHUNK_SLOTS // BK))
+        P = flat.buf("P", (gc, B, K))
+        S = flat.buf("S", (gc, B, K))
+        hit_mask = flat.buf("hit", (gc, B, K), dtype=bool)
+        X = flat.buf("X", (gc, B, dim))
+        Y = flat.buf("Y", (gc, K, dim))
+        M = flat.buf("M", (gc, K))
+        # [x, x^2 + eps2, 1] . [-2 y, 1, y^2] = r^2 + eps2: one matmul.
+        XA = flat.buf("XA", (gc, B, dim + 2))
+        YA = flat.buf("YA", (gc, K, dim + 2))
+        SY = flat.buf("SY", (gc, K, dim + 1))
+        F = flat.buf("F", (gc, B, dim + 1))
+        XA[..., dim + 1] = 1.0
+        YA[..., dim] = 1.0
+        if mutual:
+            MI = flat.buf("MI", (gc, B))
+            SX = flat.buf("SX", (gc, B, dim + 1))
+            R = flat.buf("R", (gc, K, dim + 1))
+        tri = np.tri(B, K, dtype=bool) if kind == "tri" else None
         slots = bucket.self_slots
         qsub = 0
-        if quad_ext is not None and bucket.approx:
+        if quad_ext is not None and kind == "node":
             qsub = max(1, QUAD_SLOTS // BK)
             quad_terms += bucket.n_real
+        o_rows = o
+        o_cols = o = o + gb * B
+        if mutual:
+            o += gb * K
         for c0 in range(0, gb, gc):
             c1 = min(gb, c0 + gc)
             g = c1 - c0
-            nm = bucket.node_mat[c0:c1]
             rm = bucket.row_mat[c0:c1]
-            Cg, Pg, Xg, Fg = C[:g], P[:g], X[:g], F[:g]
-            np.take(com_ext, nm, axis=0, out=Cg)
-            np.take(gme, nm, out=MN[:g])
-            np.einsum("gkj,gkj->gk", Cg, Cg, out=c2[:g])
+            cm = bucket.col_mat[c0:c1]
+            nr = bucket.n_rows[c0:c1]
+            nc = bucket.n_cols[c0:c1]
+            Xg, Yg, Mg, Pg = X[:g], Y[:g], M[:g], P[:g]
+            xa, ya = XA[:g], YA[:g]
             np.take(x_ext, rm, axis=0, out=Xg)
-            np.einsum("gbj,gbj->gb", Xg, Xg, out=x2[:g])
-            x2[:g] += eps2
-            np.matmul(Xg, Cg.transpose(0, 2, 1), out=Pg)
-            Pg *= -2.0
-            Pg += x2[:g, :, None]
-            Pg += c2[:g, None, :]
-            # max(r2, 0) + eps2 == max(r2 + eps2, eps2): clamp the rare
-            # negative cancellation.
-            np.maximum(Pg, eps2, out=Pg)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if msk is not None:
-                    np.less_equal(Pg, 0.0, out=msk[:g])
-                np.power(Pg, -1.5, out=Pg)
-            # Mask before the mass multiply: a massless node's centre
-            # and the pad row both sit at the origin, so r2 = 0 there
-            # and inf * 0 would warn.  Masses are non-negative, so the
-            # masked slots come out +0.0 either way.
-            if msk is not None:
-                np.copyto(Pg, 0.0, where=msk[:g])
-            Pg *= MN[:g, None, :]
+            np.take(src_x, cm, axis=0, out=Yg)
+            np.take(src_m, cm, out=Mg)
+            ctr = Xg[:, :1].copy()  # a real row of each block
+            Xg -= ctr
+            Yg -= ctr
+            x2 = xa[..., dim]
+            y2 = ya[..., dim + 1]
+            np.einsum("gbj,gbj->gb", Xg, Xg, out=x2)
+            np.einsum("gkj,gkj->gk", Yg, Yg, out=y2)
+            thr = 0.0
+            if direct:
+                # The rows' squared extent about the centre, R^2, bounds
+                # the algebra's rounding where it matters: a column
+                # farther than 2R from the centre is farther than R from
+                # every row, so r^2 exceeds an eighth of the magnitudes
+                # it is formed from.
+                ext = np.where(np.arange(B) < nr[:, None], x2, 0.0).max(1)
+                thr = (CANCEL * ext)[:, None, None]
+            x2 += eps2
+            xa[..., :dim] = Xg
+            np.multiply(Yg, -2.0, out=ya[..., :dim])
+            np.matmul(xa, ya.transpose(0, 2, 1), out=Pg)
+            # Excluded slots get r2 = inf, hence weight 0.
+            if tri is not None:
+                np.copyto(Pg, np.inf, where=tri)
+            own = None
             if slots is not None:
-                # A row's own leaf: x^2 + c^2 - 2 x.c differences two
-                # near-equal products there, so its weight is zeroed.
                 j0, j1 = np.searchsorted(slots, (c0 * BK, c1 * BK))
                 own = slots[j0:j1] - c0 * BK
-                Pf = Pg.reshape(-1)
-                if softened:
-                    nonzero -= int(np.count_nonzero(Pf[own]))
-                Pf[own] = 0.0
-            nr = bucket.n_rows[c0:c1]
-            if softened:
-                nonzero += int(nr @ np.count_nonzero(MN[:g], axis=1))
-            else:
-                nonzero += int(np.count_nonzero(Pg))
-                for i in np.nonzero(nr < B)[0]:  # pad rows: not counted
-                    nonzero -= int(np.count_nonzero(Pg[i, nr[i]:]))
-            np.matmul(Pg, Cg, out=Fg)
+                Pg.reshape(-1)[own] = np.inf
+            if mutual:
+                np.take(src_m, rm, out=MI[:g])
+            # Slots the algebra cannot resolve leave the tile: their
+            # whole contribution comes from explicit differences, as in
+            # the tile kernel, with zero weight where r2 + eps2 = 0.
+            hm = hit_mask[:g]
+            np.less_equal(Pg, thr, out=hm)
+            if hm.any():
+                hit = np.flatnonzero(hm)
+                Pg.reshape(-1)[hit] = np.inf
+                gi, rest = np.divmod(hit, BK)
+                bi, ki = np.divmod(rest, K)
+                ti, si = rm[gi, bi], cm[gi, ki]
+                d = src_x[si] - x_ext[ti]
+                r2 = np.einsum("ij,ij->i", d, d)
+                r2 += eps2
+                zero = r2 <= 0.0
+                r2[zero] = np.inf
+                w = r2 ** -1.5
+                near_t.append(ti)
+                near_a.append(d * (w * src_m[si])[:, None])
+                if mutual:
+                    near_t.append(si)
+                    near_a.append(d * -(w * gm_ext[ti])[:, None])
+                zero &= (bi < nr[gi]) & (ki < nc[gi])
+                nonzero -= int(np.count_nonzero(src_m[si[zero]]))
+                if mutual:
+                    nonzero -= int(np.count_nonzero(gm_ext[ti[zero]]))
+            # r^-3 as 1 / (r2 sqrt(r2)): faster than ``pow`` and exact at
+            # the excluded slots' r2 = inf.
+            np.sqrt(Pg, out=S[:g])
+            Pg *= S[:g]
+            np.reciprocal(Pg, out=Pg)
+            # Weights counted per real slot with a massive source.
+            mc = np.count_nonzero(Mg, axis=1)
+            nonzero += int(((nr - 1) if kind == "tri" else nr) @ mc)
+            if kind == "two":
+                nonzero += int(nc @ np.count_nonzero(MI[:g], axis=1))
+            if own is not None:
+                nonzero -= int(np.count_nonzero(Mg[own // BK, own % K]))
+
+            # Row sums: P @ [m y | m] -> sum m w y - x sum m w.
+            sy = SY[:g]
+            np.multiply(Yg, Mg[..., None], out=sy[..., :dim])
+            sy[..., dim] = Mg
+            Fg = F[:g]
+            Ag = out[o_rows + c0 * B:o_rows + c1 * B].reshape(g, B, dim)
+            np.matmul(Pg, sy, out=Fg)
+            np.multiply(Xg, Fg[..., dim:], out=Ag)
+            np.subtract(Fg[..., :dim], Ag, out=Ag)
             # Quadrupoles, on sub-batches cut to their real rows and
             # columns.
             for q0 in range(0, g, qsub) if qsub else ():
                 q1 = min(g, q0 + qsub)
-                bq = int(bucket.n_rows[c0 + q0:c0 + q1].max())
-                kq = int(bucket.n_cols[c0 + q0:c0 + q1].max())
-                dq = Cg[q0:q1, None, :kq] - Xg[q0:q1, :bq, None]
+                bq = int(nr[q0:q1].max())
+                kq = int(nc[q0:q1].max())
+                dq = Yg[q0:q1, None, :kq] - Xg[q0:q1, :bq, None]
                 r2q = np.einsum("gbkj,gbkj->gbk", dq, dq)
                 r2q += eps2
-                qt = np.broadcast_to(quad_ext[nm[q0:q1, :kq]][:, None],
+                qt = np.broadcast_to(quad_ext[cm[q0:q1, :kq]][:, None],
                                      dq.shape + (dim,))
-                Fg[q0:q1, :bq] += quadrupole_accel(
+                Ag[q0:q1, :bq] += quadrupole_accel(
                     dq.reshape(-1, dim), r2q.reshape(-1),
                     qt.reshape(-1, dim, dim), G,
                 ).reshape(dq.shape).sum(axis=2)
-            np.einsum("gbk->gb", Pg, out=x2[:g])  # w row-sums
-            Xg *= x2[:g, :, None]
-            Fg -= Xg
-            acc_ext[rm] += Fg
-    acc += acc_ext[:n]
-    return nonzero, quad_terms
+            if mutual:
+                # Reaction on the columns from the same tile.
+                sx, Rg = SX[:g], R[:g]
+                ARg = out[o_cols + c0 * K:o_cols + c1 * K].reshape(g, K, dim)
+                np.multiply(Xg, MI[:g, :, None], out=sx[..., :dim])
+                sx[..., dim] = MI[:g]
+                np.matmul(Pg.transpose(0, 2, 1), sx, out=Rg)
+                np.multiply(Yg, Rg[..., dim:], out=ARg)
+                np.subtract(Rg[..., :dim], ARg, out=ARg)
+    acc = np.zeros((n + 2, dim), dtype=FLOAT)
+    scatter_add(acc, flat.targets, out)
+    if near_t:
+        scatter_add(acc, np.concatenate(near_t), np.concatenate(near_a))
+    return acc[:n], nonzero, quad_terms
 
 
 def evaluate_flat(
@@ -628,109 +676,30 @@ def evaluate_flat(
 ) -> tuple[np.ndarray, dict]:
     """Evaluate prepared lists at current positions (sorted order).
 
-    The node-source batches (one launch per :class:`DenseBucket`), then
-    two body-pair kernels — two-sided and one-sided pairs — each
-    streaming :data:`BLOCK` pairs at a time through *flat*'s scratch
-    pools.  ``m_sorted`` (body masses in sorted order) is required
-    whenever the body pools are non-empty.  Returns the accelerations
-    plus the eval-stats dict of
+    One launch per :class:`DenseBucket`.  ``m_sorted`` (body masses in
+    sorted order) is required whenever there are near-field body
+    blocks.  Returns the accelerations plus the eval-stats dict of
     :func:`~repro.traversal.engine.evaluate_interaction_lists`:
     ``pairs``, ``interactions`` (nonzero weights), ``quad_terms``,
     ``flat_launches``, ``near_pairs_naive`` and ``near_pairs_evaluated``.
     """
     x_sorted = np.asarray(x_sorted, dtype=FLOAT)
     n, dim = x_sorted.shape
-    acc = np.zeros((n, dim), dtype=FLOAT)
     n_two = flat.n_two_sided
     n_one = flat.n_one_sided
     if m_sorted is None and (n_two or n_one):
         raise ValueError(
-            "flat lists carry body pairs; evaluate_flat needs m_sorted")
-
-    softened = eps2 > 0.0
-    launches = len(flat.buckets)
+            "flat lists carry body blocks; evaluate_flat needs m_sorted")
+    acc = np.zeros((n, dim), dtype=FLOAT)
     nonzero = quad_terms = 0
     if flat.buckets:
-        nonzero, quad_terms = _eval_buckets(view, flat, x_sorted, G, eps2,
-                                            acc)
-    if n_two or n_one:
-        gms = flat.buf("gms", (n,))
-        np.multiply(np.asarray(m_sorted, dtype=FLOAT), G, out=gms)
-        d = flat.buf("d", (BLOCK, dim))
-        d2 = flat.buf("d2", (BLOCK, dim))
-        xb = flat.buf("x", (BLOCK, dim))
-        r2 = flat.buf("r2", (BLOCK,))
-        w = flat.buf("w", (BLOCK,))
-        mb = flat.buf("m", (BLOCK,))
-        mb2 = flat.buf("m2", (BLOCK,))
-        tmp = flat.buf("tmp", (BLOCK,))
-        mask = flat.buf("mask", (BLOCK,), dtype=bool)
-
-    # ---- two-sided pairs: one evaluation, both bodies ---------------
-    if n_two:
-        launches += 1
-        for s0 in range(0, n_two, BLOCK):
-            s1 = min(n_two, s0 + BLOCK)
-            b = s1 - s0
-            ti = flat.s_t[s0:s1]
-            si = flat.s_s[s0:s1]
-            db, xbb, r2b, wb = d[:b], xb[:b], r2[:b], w[:b]
-            np.take(x_sorted, si, axis=0, out=db)
-            np.take(x_sorted, ti, axis=0, out=xbb)
-            db -= xbb
-            np.einsum("ij,ij->i", db, db, out=r2b)
-            r2b += eps2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.power(r2b, -1.5, out=wb)  # mass-free kernel
-            if softened:
-                nonzero += 2 * b
-            else:
-                np.less_equal(r2b, 0.0, out=mask[:b])
-                np.copyto(wb, 0.0, where=mask[:b])
-                nonzero += 2 * (b - int(np.count_nonzero(mask[:b])))
-            db *= wb[:, None]
-            np.take(gms, ti, out=mb[:b])   # G m_t
-            np.take(gms, si, out=mb2[:b])  # G m_s
-            np.multiply(db, mb2[:b, None], out=d2[:b])
-            _segment_add(acc, d2[:b], s0, flat.s_segs)
-            np.multiply(db, mb[:b, None], out=d2[:b])
-            for j in range(dim):
-                np.copyto(tmp[:b], d2[:b, j])
-                acc[:, j] -= np.bincount(si, weights=tmp[:b],
-                                         minlength=n)
-
-    # ---- one-sided pairs: target side only --------------------------
-    if n_one:
-        launches += 1
-        for s0 in range(0, n_one, BLOCK):
-            s1 = min(n_one, s0 + BLOCK)
-            b = s1 - s0
-            ti = flat.o_t[s0:s1]
-            si = flat.o_s[s0:s1]
-            db, xbb, r2b, wb = d[:b], xb[:b], r2[:b], w[:b]
-            np.take(x_sorted, si, axis=0, out=db)
-            np.take(x_sorted, ti, axis=0, out=xbb)
-            db -= xbb
-            np.einsum("ij,ij->i", db, db, out=r2b)
-            r2b += eps2
-            np.take(gms, si, out=mb[:b])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.power(r2b, -1.5, out=wb)
-            wb *= mb[:b]
-            if softened:
-                nonzero += b
-            else:
-                np.less_equal(r2b, 0.0, out=mask[:b])
-                np.copyto(wb, 0.0, where=mask[:b])
-                nonzero += b - int(np.count_nonzero(mask[:b]))
-            db *= wb[:, None]
-            _segment_add(acc, db, s0, flat.o_segs)
-
+        acc, nonzero, quad_terms = _eval_buckets(view, flat, x_sorted,
+                                                 m_sorted, G, eps2)
     return acc, {
         "pairs": flat.n_node_pairs + n_two + n_one,
         "interactions": nonzero,
         "quad_terms": quad_terms,
-        "flat_launches": launches,
+        "flat_launches": len(flat.buckets),
         "near_pairs_naive": flat.pairs_naive,
         "near_pairs_evaluated": n_two + n_one,
     }

@@ -33,7 +33,7 @@ from repro.traversal import (
 )
 from repro.traversal.driver import hilbert_body_order
 from repro.traversal.engine import build_interaction_lists
-from repro.traversal.flat import Segments, _idx_dtype, _segments
+from repro.traversal.flat import MUTUAL_KINDS
 from repro.workloads import galaxy_collision, uniform_cube
 
 RTOL = 1e-12
@@ -104,7 +104,7 @@ class TestFlatMatchesTile:
         groups = make_groups(bvh.x_sorted, 16)
         lists = build_interaction_lists(view, groups, 0.6)
         fl = build_flat_lists(view, lists, groups)
-        assert fl.buckets and all(b.approx for b in fl.buckets)
+        assert any(b.kind == "node" for b in fl.buckets)
         _, stats = evaluate_flat(view, fl, bvh.x_sorted, G=1.0, eps2=1e-4,
                                  m_sorted=bvh.m_sorted)
         rows = np.diff(groups.offsets)
@@ -198,14 +198,14 @@ class TestNewtonThirdLaw:
         assert 1.0 < ratio <= 2.0
 
     def test_two_sided_pool_conserves_momentum(self):
-        """Each deduped pair scatters an equal and opposite impulse."""
+        """Each deduped pair scatters an equal and opposite impulse:
+        the two-sided blocks' row sums and reactions share one tile."""
         bvh, view, _, fl = self._flat()
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_segs = Segments(empty_i, empty_i)
         two_only = dataclasses.replace(
-            fl, buckets=[], o_t=empty_i, o_s=empty_i, o_segs=empty_segs,
+            fl, buckets=[b for b in fl.buckets if b.kind in MUTUAL_KINDS],
             _scratch={})
-        assert two_only.n_two_sided > 0
+        assert two_only.n_two_sided > 0 and two_only.n_one_sided == 0
+        assert {b.kind for b in two_only.buckets} == {"two", "tri"}
         acc, _ = evaluate_flat(view, two_only, bvh.x_sorted,
                                G=1.0, eps2=1e-4, m_sorted=bvh.m_sorted)
         assert np.any(acc != 0.0)
@@ -223,22 +223,24 @@ class TestNewtonThirdLaw:
 
     def test_monopole_galaxy_uses_dense_batches(self):
         _, _, groups, fl = self._flat()
-        assert len(fl.buckets) >= 1
-        # Under n3l the buckets hold accepted nodes only, never a self
-        # slot; every group with a list sits in exactly one bucket.
-        assert all(b.approx and b.self_slots is None for b in fl.buckets)
-        assert fl.n_node_pairs == sum(b.n_real for b in fl.buckets)
-        assert sum(b.node_mat.shape[0] for b in fl.buckets) <= groups.n_groups
+        nodes = [b for b in fl.buckets if b.kind == "node"]
+        assert len(nodes) >= 1
+        # Under n3l the node buckets hold accepted nodes only, and no
+        # bucket has a self slot; every group with a list sits in
+        # exactly one node bucket.
+        assert all(b.self_slots is None for b in fl.buckets)
+        assert {b.kind for b in fl.buckets} <= {"node", "one", "two", "tri"}
+        assert fl.n_node_pairs == sum(b.n_real for b in nodes)
+        assert sum(b.row_mat.shape[0] for b in nodes) <= groups.n_groups
 
 
 def _reference_body_pools(view, lists, groups, body_ids, exact_bodies):
     """The canonical-key construction of the n3l body pools: expand
     every ordered near-field pair, sort by its ``(min, max)`` key and
     split multiplicity two (two-sided) from one (one-sided).  Test-only
-    oracle for :func:`build_flat_lists`' entry/run-level construction.
+    oracle for :func:`build_flat_lists`' entry/run-level blocks.
     """
     n = groups.n_bodies
-    rdt = _idx_dtype(max(n, 1))
     row_of = None
     if body_ids is not None:
         row_of = np.empty(n, dtype=np.int64)
@@ -282,21 +284,40 @@ def _reference_body_pools(view, lists, groups, body_ids, exact_bodies):
         o_t, o_s = o_t[oorder], o_s[oorder]
     else:
         s_t = s_s = o_t = o_s = np.empty(0, dtype=np.int64)
-    return {"s_t": s_t.astype(rdt), "s_s": s_s.astype(rdt),
-            "o_t": o_t.astype(rdt), "o_s": o_s.astype(rdt),
-            "s_segs": _segments(s_t), "o_segs": _segments(o_t),
+    return {"s_t": s_t, "s_s": s_s, "o_t": o_t, "o_s": o_s,
             "pairs_naive": pairs_naive,
             "includes_exact": exact_bodies is not None}
 
 
-def _bitwise_equal(a, b) -> bool:
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and a.tobytes() == b.tobytes())
+def _block_pairs(fl, kinds):
+    """Every (target, source) pair the blocks of *kinds* evaluate, one
+    entry per evaluated slot: real rows x real columns, the strict upper
+    triangle of a ``tri`` block."""
+    ts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    ss: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for b in fl.buckets:
+        if b.kind not in kinds:
+            continue
+        B, K = b.row_mat.shape[1], b.col_mat.shape[1]
+        real = ((np.arange(B) < b.n_rows[:, None])[:, :, None]
+                & (np.arange(K) < b.n_cols[:, None])[:, None, :])
+        if b.kind == "tri":
+            real &= ~np.tri(B, K, dtype=bool)
+        ts.append(np.broadcast_to(b.row_mat[:, :, None], real.shape)[real])
+        ss.append(np.broadcast_to(b.col_mat[:, None, :], real.shape)[real])
+    return (np.concatenate(ts).astype(np.int64),
+            np.concatenate(ss).astype(np.int64))
+
+
+def _sorted_pairs(t, s):
+    order = np.lexsort((s, t))
+    return t[order], s[order]
 
 
 class TestBodyPoolsMatchCanonicalSort:
-    """The entry/run-level n3l construction reproduces the canonical
-    pair-sort pools bit for bit: same pairs, order, dtypes, segments."""
+    """The entry/run-level n3l blocks cover the canonical pair-sort
+    pools exactly: two-sided blocks its two-sided pairs, one-sided
+    blocks its one-sided pairs, each pair once."""
 
     @staticmethod
     def _lists(view, x, group_size, theta=0.5):
@@ -312,14 +333,21 @@ class TestBodyPoolsMatchCanonicalSort:
                               exact_bodies=exact_bodies)
         ref = _reference_body_pools(view, lists, groups, body_ids,
                                     exact_bodies)
-        for name in ("s_t", "s_s", "o_t", "o_s"):
-            assert _bitwise_equal(getattr(fl, name), ref[name]), name
-        for name in ("s_segs", "o_segs"):
-            got, want = getattr(fl, name), ref[name]
-            assert _bitwise_equal(got.starts, want.starts), name
-            assert _bitwise_equal(got.rows, want.rows), name
+        for kinds, t, s in ((MUTUAL_KINDS, "s_t", "s_s"),
+                            (("one",), "o_t", "o_s")):
+            got = _sorted_pairs(*_block_pairs(fl, kinds))
+            want = _sorted_pairs(ref[t], ref[s])
+            assert np.array_equal(got[0], want[0]), kinds
+            assert np.array_equal(got[1], want[1]), kinds
+        assert fl.n_two_sided == ref["s_t"].size
+        assert fl.n_one_sided == ref["o_t"].size
+        assert fl.pairs_evaluated == ref["s_t"].size + ref["o_t"].size
         assert fl.pairs_naive == ref["pairs_naive"]
         assert fl.includes_exact == ref["includes_exact"]
+        rows = np.diff(groups.offsets)
+        assert fl.n_node_pairs == sum(
+            int(rows[g]) * lists.approx_nodes(g).size
+            for g in range(groups.n_groups))
         return fl
 
     def _check(self, view, x, group_size, exact_bodies):
@@ -398,9 +426,11 @@ class TestBodyPoolsMatchCanonicalSort:
         fl = self._assert_matches(view, stripped, groups, body_ids,
                                   view.exact_bodies)
         rows_g = np.arange(groups.offsets[g], groups.offsets[g + 1])
-        assert not np.isin(fl.s_t, rows_g).any()
-        assert not np.isin(fl.s_s, rows_g).any()
-        assert np.isin(fl.o_s, rows_g).any()
+        s_t, s_s = _block_pairs(fl, MUTUAL_KINDS)
+        _, o_s = _block_pairs(fl, ("one",))
+        assert not np.isin(s_t, rows_g).any()
+        assert not np.isin(s_s, rows_g).any()
+        assert np.isin(o_s, rows_g).any()
 
 
 class TestStructureCache:

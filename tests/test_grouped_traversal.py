@@ -19,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bvh.build import build_bvh
-from repro.bvh.force import bvh_accelerations, bvh_tree_view
+from repro.bvh.force import (
+    bvh_accelerations,
+    bvh_accelerations_scalar,
+    bvh_tree_view,
+)
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
@@ -250,6 +254,42 @@ class TestAccuracy:
                                      soft_gravity)
         assert relative_l2_error(grpb, ref) < 0.25 * 0.5
         assert relative_l2_error(grpb, lockb) < 0.05
+
+
+class TestCoincidentBodies:
+    """Coincident bodies at ``eps2 = 0`` exert no force on each other,
+    as in the all-pairs reference: a BVH node of zero extent never
+    passes the MAC (its distance to a member body is a rounding
+    residue), and the dense kernels give coincident body pairs exactly
+    zero weight."""
+
+    @staticmethod
+    def _system(n):
+        """N=4: two coincident pairs; N=256: 64 points, four bodies
+        each."""
+        rng = np.random.default_rng(21)
+        x = np.repeat(rng.random((n // 2 if n == 4 else n // 4, 3)),
+                      2 if n == 4 else 4, axis=0)
+        return x, rng.random(n) + 0.1
+
+    @pytest.mark.parametrize("n", [4, 256])
+    def test_lockstep(self, n):
+        x, m = self._system(n)
+        ref = pairwise_accelerations(x, m)
+        bvh = build_bvh(x, m)
+        for walk in (bvh_accelerations, bvh_accelerations_scalar):
+            assert relative_l2_error(walk(bvh, theta=0.5), ref) < 5e-2
+
+    @pytest.mark.parametrize("eval_mode", ["tile", "flat", "gemm"])
+    @pytest.mark.parametrize("traversal", ["grouped", "dual"])
+    @pytest.mark.parametrize("n", [4, 256])
+    def test_grouped(self, n, traversal, eval_mode):
+        x, m = self._system(n)
+        ref = pairwise_accelerations(x, m)
+        acc = tree_accelerations(bvh_tree_view(build_bvh(x, m)), x, m,
+                                 traversal=traversal, group_size=8,
+                                 eval_mode=eval_mode)
+        assert relative_l2_error(acc, ref) < 5e-2
 
 
 class TestConfig:

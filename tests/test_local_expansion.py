@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.bvh.layout import BVHLayout
+from repro.physics import local_expansion
 from repro.physics.local_expansion import (
     LocalExpansion,
     expansion_words,
@@ -116,6 +117,35 @@ class TestM2LConvergence:
         assert np.allclose(h, np.transpose(h, (1, 0, 2)))
         assert np.allclose(h, np.transpose(h, (2, 1, 0)))
         assert np.allclose(h, np.transpose(h, (0, 2, 1)))
+
+
+class TestM2LScatter:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_bincount_matches_add_at_bitwise(self, order, monkeypatch):
+        """The M2L scatter sums in ``np.add.at``'s order: bitwise equal
+        to it on the zero expansion the dual evaluator starts from."""
+        rng = np.random.default_rng(3)
+        n_targets, k, dim = 40, 900, 3
+        far_t = np.sort(rng.integers(0, n_targets, k)).astype(INDEX)
+        far_s = rng.integers(0, 200, k).astype(INDEX)
+        com = rng.random((200, dim)) + 2.0
+        mass = rng.random(200)
+        center = rng.random((n_targets, dim))
+        quad = rng.standard_normal((200, dim, dim)) * 1e-3
+        quad = quad + quad.transpose(0, 2, 1)
+        args = (far_t, far_s, com, mass, center)
+        got = LocalExpansion.zeros(n_targets, dim, order=order)
+        m2l_accumulate(got, *args, eps2=1e-3, quad=quad)
+        # Oracle: the same terms, each scattered with np.add.at.
+        monkeypatch.setattr(local_expansion, "scatter_add", np.add.at)
+        want = LocalExpansion.zeros(n_targets, dim, order=order)
+        m2l_accumulate(want, *args, eps2=1e-3, quad=quad)
+        for name in ("a0", "jac", "hess"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert np.any(g != 0.0)
+                assert g.tobytes() == w.tobytes(), name
 
 
 class TestL2L:
