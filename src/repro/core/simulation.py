@@ -70,6 +70,7 @@ class Simulation:
         tree_cache: dict | None = None,
         runtime_state: dict | None = None,
     ):
+        system.validate()
         self.system = system
         self.config = config if config is not None else SimulationConfig()
         self.ctx = ctx if ctx is not None else ExecutionContext()

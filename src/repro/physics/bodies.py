@@ -28,9 +28,16 @@ class BodySystem:
     m: np.ndarray  # (N,)    masses
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Check shapes, finiteness and ``m >= 0``, raising a
+        ``ValueError`` that names the array.  Valid contiguous FP64
+        arrays are kept, not copied, so a second call re-checks arrays
+        mutated in place since construction."""
         self.x = validate_positions(self.x)
         n, dim = self.x.shape
-        self.v = validate_positions(self.v, dim)
+        self.v = validate_positions(self.v, dim, "velocities")
         if self.v.shape != (n, dim):
             raise ValueError(f"velocities shape {self.v.shape} != positions {self.x.shape}")
         self.m = validate_masses(self.m, n)

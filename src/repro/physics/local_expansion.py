@@ -40,6 +40,16 @@ which pushes the Taylor truncation from second to third order in the
 dual walk open ``cc_mac`` past 1 while staying inside the grouped-mode
 error envelope.
 
+M2L builds and scatters only the distinct components: one packed
+``(n_nodes, 3 + 6 + 18)`` buffer at dim 3 (``a0``, the Jacobian's
+``i <= j`` terms, the third-derivative terms ``(i <= j, l)``) instead
+of 39 full-tensor columns, expanded to ``jac`` / ``hess`` once per
+target node.  The third-derivative tensor is
+symmetric in all index pairs mathematically, but not bitwise: its
+product ``(d_i d_j) d_l`` makes ``H_ijl`` and ``H_lji`` differ in the
+last bit, so the 10 fully symmetric components could not reproduce the
+full-tensor formulation exactly.  The 18 do, bit for bit.
+
 Error model: a far pair is accepted only when the *source* passes the
 conservative MAC against the target box (``size_s < theta * dmin``, so
 the multipole error keeps the paper's O(theta^2) bound) **and** the
@@ -77,7 +87,11 @@ L2_HESSIAN_FLOPS = 45.0
 
 def expansion_words(dim: int, order: int) -> float:
     """Stored floats per node: ``a0``, plus the Jacobian at order >= 1,
-    plus the third-derivative tensor at order >= 2."""
+    plus the third-derivative tensor at order >= 2.
+
+    This is the modeled device layout (full tensors, 39 words at dim 3
+    and order 2), not the host M2L's packed scatter; it stays as it is
+    so the cost model does not move."""
     words = dim
     if order >= 1:
         words += dim * dim
@@ -93,7 +107,8 @@ class LocalExpansion:
     a0: np.ndarray               # (n_nodes, dim) value at node centre
     jac: np.ndarray | None       # (n_nodes, dim, dim); None at order 0
     #: (n_nodes, dim, dim, dim) kernel third derivatives; None below
-    #: order 2.  Symmetric in all index pairs.
+    #: order 2.  Exactly symmetric in (i, j); symmetric to round-off in
+    #: the other index pairs.
     hess: np.ndarray | None = None
 
     @property
@@ -139,7 +154,7 @@ def m2l_accumulate(
     ``far_t`` indexes target-tree nodes (rows of *center* / the
     expansion), ``far_s`` source-tree nodes (rows of *com* / *mass*).
     Pairs sharing a target are summed in index order (one ``bincount``
-    per component) into the expansion, which must start at zero; the
+    per packed component) into the expansion, which must start at zero; the
     caller provides them in a deterministic order, so the accumulation
     — and hence the whole dual force — is bitwise reproducible.
 
@@ -150,32 +165,46 @@ def m2l_accumulate(
     d = com[far_s] - center[far_t]
     r2 = np.einsum("kj,kj->k", d, d) + eps2
     inv_r3 = r2 ** -1.5
-    w = G * mass[far_s] * inv_r3
+    m = mass[far_s]
+    w = G * m * inv_r3
     a0_terms = w[:, None] * d
     quad_terms = 0
     if quad is not None:
         a0_terms += quadrupole_accel(d, r2, quad[far_s], G)
         quad_terms = int(far_t.shape[0])
-    scatter_add(exp.a0, far_t, a0_terms)
-    if exp.jac is not None:
-        dim = d.shape[1]
-        inv_r5 = inv_r3 / r2
-        jac_terms = (3.0 * G * mass[far_s] * inv_r5)[:, None, None] \
-            * np.einsum("ki,kj->kij", d, d)
-        jac_terms -= (G * mass[far_s] * inv_r3)[:, None, None] * np.eye(dim)
-        scatter_add(exp.jac, far_t, jac_terms)
-        if exp.hess is not None:
-            inv_r7 = inv_r5 / r2
-            eye = np.eye(dim)
-            hess_terms = (15.0 * G * mass[far_s] * inv_r7)[:, None, None, None] \
-                * np.einsum("ki,kj,kl->kijl", d, d, d)
-            w5 = (3.0 * G * mass[far_s] * inv_r5)
-            hess_terms -= w5[:, None, None, None] * (
-                np.einsum("ij,kl->kijl", eye, d)
-                + np.einsum("il,kj->kijl", eye, d)
-                + np.einsum("jl,ki->kijl", eye, d)
-            )
-            scatter_add(exp.hess, far_t, hess_terms)
+    # Packed rows: a0, then J_ij (i <= j), then H_ijl (i <= j, any l),
+    # each from component rows of d in the full-tensor formula's product
+    # and summation order, so the expansion is bitwise the same.
+    k, dim = d.shape
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    n_j = len(pairs) if exp.jac is not None else 0
+    h_dim = dim if exp.hess is not None else 0
+    rows = np.empty((dim + n_j * (1 + h_dim), k), dtype=FLOAT)
+    rows[:dim] = a0_terms.T
+    hess_rows = rows[dim + n_j:].reshape(n_j, h_dim, k)
+    dc = np.ascontiguousarray(d.T)
+    inv_r5 = inv_r3 / r2
+    w5 = 3.0 * G * m * inv_r5
+    w7 = 15.0 * G * m * (inv_r5 / r2)
+    for p, (i, j) in enumerate(pairs[:n_j]):
+        dd = dc[i] * dc[j]
+        rows[dim + p] = w5 * dd - w if i == j else w5 * dd
+        for c in range(h_dim):
+            # delta_ij d_c + delta_ic d_j + delta_jc d_i, zero terms skipped
+            e = [dc[b] for hit, b in ((i == j, c), (i == c, j), (j == c, i))
+                 if hit]
+            h = w7 * (dd * dc[c])
+            hess_rows[p, c] = h - w5 * sum(e[1:], e[0]) if e else h
+    packed = np.zeros((exp.a0.shape[0], rows.shape[0]), dtype=FLOAT)
+    scatter_add(packed, far_t, rows.T)
+    exp.a0 += packed[:, :dim]
+    sym = [pairs.index((min(i, j), max(i, j)))
+           for i in range(dim) for j in range(dim)]
+    if n_j:
+        exp.jac += packed[:, dim:dim + n_j][:, sym].reshape(exp.jac.shape)
+    if h_dim:
+        exp.hess += packed[:, dim + n_j:].reshape(-1, n_j, dim)[:, sym] \
+            .reshape(exp.hess.shape)
     return quad_terms
 
 

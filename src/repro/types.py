@@ -38,13 +38,15 @@ def as_float_array(a, name: str = "array") -> np.ndarray:
     return arr
 
 
-def validate_positions(x: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Validate an ``(N, dim)`` position array and return it contiguous."""
-    arr = as_float_array(x, "positions")
+def validate_positions(x: np.ndarray, dim: int | None = None,
+                       name: str = "positions") -> np.ndarray:
+    """Validate an ``(N, dim)`` position (or velocity) array and return
+    it contiguous; errors name the array as *name*."""
+    arr = as_float_array(x, name)
     if arr.ndim != 2:
-        raise ValueError(f"positions must be 2-D (N, dim), got shape {arr.shape}")
+        raise ValueError(f"{name} must be 2-D (N, dim), got shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
-        raise ValueError(f"positions must have dim={dim}, got {arr.shape[1]}")
+        raise ValueError(f"{name} must have dim={dim}, got {arr.shape[1]}")
     if arr.shape[1] not in (2, 3):
         raise ValueError(f"only 2-D and 3-D supported, got dim={arr.shape[1]}")
     return arr

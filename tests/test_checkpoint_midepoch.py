@@ -13,6 +13,7 @@ state replays every cache exactly (repro.core.suspend).
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import pathlib
 
@@ -29,7 +30,18 @@ N = 128
 TOTAL = 11
 SPLIT = 5  # deliberately not a multiple of any epoch length below
 DATA = pathlib.Path(__file__).parent / "data"
-LEGACY_SPLIT = 4  # steps the legacy fixtures ran before the suspend
+
+
+def _load_legacy_recipe():
+    """The fixture generator, whose config/system/steps the test reuses."""
+    path = DATA / "make_reuse_v1.py"
+    spec = importlib.util.spec_from_file_location("make_reuse_v1", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+LEGACY = _load_legacy_recipe()
 
 
 def _system(n=N):
@@ -115,18 +127,18 @@ class TestTreeReuseMidEpoch:
         """Checkpoints that carry tree reuse's former ``"reuse"`` payload
         (epoch positions ``x_epoch`` and age) still resume bit-exactly.
 
-        The fixtures were written by ``save_checkpoint`` after 4 steps
-        of a Plummer N=64 (seed 42) run, grouped traversal,
-        ``group_size=16``, ``tree_reuse_steps=3`` (suspended at age 2),
-        ``dt=3e-2``: long enough steps that reuse and rebuild differ.
+        The fixtures hold the state after ``LEGACY.STEPS`` steps of
+        ``LEGACY.legacy_system()`` under ``LEGACY.legacy_config``
+        (``tree_reuse_steps=3``, suspended at age 2).  They pin the
+        evaluator's last bits; ``tests/data/make_reuse_v1.py``
+        regenerates them.
         """
         path = DATA / f"reuse_v1_{algorithm}.npz"
         _, header = load_snapshot(path)
         assert header["runtime"]["reuse"]["age"] == 2
-        cfg = SimulationConfig(algorithm=algorithm, tree_reuse_steps=3,
-                               traversal="grouped", group_size=16, dt=3e-2)
-        ref = Simulation(_system(64), cfg)
-        ref.run(LEGACY_SPLIT + 6)
+        cfg = LEGACY.legacy_config(algorithm)
+        ref = Simulation(LEGACY.legacy_system(), cfg)
+        ref.run(LEGACY.STEPS + 6)
         resumed = load_checkpoint(path)
         assert resumed.config == cfg
         resumed.run(6)

@@ -8,11 +8,12 @@ from repro.core.config import SimulationConfig
 from repro.core.simulation import STEP_ORDER, Simulation
 from repro.errors import ConfigurationError, ForwardProgressError
 from repro.machine.catalog import get_device
+from repro.physics.bodies import BodySystem
 from repro.physics.diagnostics import energy_report, momentum
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.stdpar.context import ExecutionContext
 from repro.stdpar.progress import ForwardProgress
-from repro.workloads import galaxy_collision
+from repro.workloads import galaxy_collision, plummer_sphere
 
 
 class TestConfig:
@@ -194,3 +195,37 @@ class TestSimulation:
                          SimulationConfig(dt=0.5, gravity=gravity))
         sim.run(4)
         assert sim.time == pytest.approx(2.0)
+
+
+class TestBodyValidation:
+    """Arrays mutated in place after ``BodySystem`` construction are
+    re-checked when the ``Simulation`` is built, with an error that names
+    the array, instead of failing a step later in the bounding box."""
+
+    @pytest.mark.parametrize("array, name", [
+        ("x", "positions"), ("v", "velocities"), ("m", "masses")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, array, name, bad):
+        s = plummer_sphere(64, seed=42)
+        getattr(s, array)[5] = bad
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            Simulation(s, SimulationConfig(algorithm="bvh",
+                                           traversal="grouped"))
+
+    def test_negative_mass_rejected(self):
+        s = plummer_sphere(64, seed=42)
+        s.m[3] = -1.0
+        with pytest.raises(ValueError, match="masses must be non-negative"):
+            Simulation(s, SimulationConfig(algorithm="bvh",
+                                           traversal="grouped"))
+
+    def test_bad_velocity_named_at_construction(self):
+        s = plummer_sphere(8, seed=1)
+        with pytest.raises(ValueError, match="velocities contains"):
+            BodySystem(s.x, np.full_like(s.v, np.nan), s.m)
+
+    def test_valid_arrays_kept(self):
+        s = plummer_sphere(64, seed=42)
+        x, v, m = s.x, s.v, s.m
+        Simulation(s, SimulationConfig())
+        assert s.x is x and s.v is v and s.m is m

@@ -7,6 +7,9 @@ The contracts under test:
   ``|delta| / r = 0.1``;
 * L2L re-centring is exact at the stored order (shifting then
   evaluating equals evaluating the original series at the same point);
+* the packed M2L (unique Jacobian / third-derivative columns) is
+  bitwise equal to the full-tensor einsum formulation it replaced,
+  kept below as a test-only oracle;
 * the downsweep's ``stdpar`` path matches the serial sweep bitwise;
 * the flop/word accountants grow monotonically with order.
 """
@@ -16,8 +19,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bvh.build import build_bvh
+from repro.bvh.force import bvh_tree_view
 from repro.bvh.layout import BVHLayout
 from repro.physics import local_expansion
+from repro.physics.gravity import GravityParams
 from repro.physics.local_expansion import (
     LocalExpansion,
     expansion_words,
@@ -27,9 +33,52 @@ from repro.physics.local_expansion import (
     l2p_evaluate,
     m2l_accumulate,
     m2l_flops,
+    scatter_add,
 )
+from repro.physics.multipole import quadrupole_accel
 from repro.stdpar.context import ExecutionContext
+from repro.traversal import dual as dual_module
+from repro.traversal import tree_accelerations
 from repro.types import FLOAT, INDEX
+from repro.workloads import plummer_sphere
+
+
+def einsum_m2l(exp, far_t, far_s, com, mass, center, *, G=1.0, eps2=0.0,
+               quad=None):
+    """Oracle: the full-tensor M2L (broadcast einsums, one scatter per
+    tensor) that the packed-column ``m2l_accumulate`` replaced."""
+    if far_t.size == 0:
+        return 0
+    d = com[far_s] - center[far_t]
+    r2 = np.einsum("kj,kj->k", d, d) + eps2
+    inv_r3 = r2 ** -1.5
+    w = G * mass[far_s] * inv_r3
+    a0_terms = w[:, None] * d
+    quad_terms = 0
+    if quad is not None:
+        a0_terms += quadrupole_accel(d, r2, quad[far_s], G)
+        quad_terms = int(far_t.shape[0])
+    scatter_add(exp.a0, far_t, a0_terms)
+    if exp.jac is not None:
+        dim = d.shape[1]
+        inv_r5 = inv_r3 / r2
+        jac_terms = (3.0 * G * mass[far_s] * inv_r5)[:, None, None] \
+            * np.einsum("ki,kj->kij", d, d)
+        jac_terms -= (G * mass[far_s] * inv_r3)[:, None, None] * np.eye(dim)
+        scatter_add(exp.jac, far_t, jac_terms)
+        if exp.hess is not None:
+            inv_r7 = inv_r5 / r2
+            eye = np.eye(dim)
+            hess_terms = (15.0 * G * mass[far_s] * inv_r7)[:, None, None, None] \
+                * np.einsum("ki,kj,kl->kijl", d, d, d)
+            w5 = (3.0 * G * mass[far_s] * inv_r5)
+            hess_terms -= w5[:, None, None, None] * (
+                np.einsum("ij,kl->kijl", eye, d)
+                + np.einsum("il,kj->kijl", eye, d)
+                + np.einsum("jl,ki->kijl", eye, d)
+            )
+            scatter_add(exp.hess, far_t, hess_terms)
+    return quad_terms
 
 
 def point_accel(x, src, mass, *, G=1.0, eps2=0.0):
@@ -105,7 +154,9 @@ class TestM2LConvergence:
         assert errs[1] < errs[0] / 6.0
 
     def test_hessian_symmetry(self):
-        """The accumulated third-derivative tensor is fully symmetric."""
+        """The third-derivative tensor is exactly symmetric in (i, j) and
+        symmetric to round-off in the other index pairs (``(d_i d_j)
+        d_l`` and ``(d_l d_j) d_i`` may differ in the last bit)."""
         rng = np.random.default_rng(2)
         sources = rng.random((5, 3)) + 2.0
         masses = rng.random(5) + 0.1
@@ -114,9 +165,69 @@ class TestM2LConvergence:
                        np.arange(5, dtype=INDEX),
                        sources, masses, np.zeros((1, 3)))
         h = exp.hess[0]
-        assert np.allclose(h, np.transpose(h, (1, 0, 2)))
-        assert np.allclose(h, np.transpose(h, (2, 1, 0)))
-        assert np.allclose(h, np.transpose(h, (0, 2, 1)))
+        assert np.array_equal(h, np.transpose(h, (1, 0, 2)))
+        tol = 1e-14 * np.abs(h).max()
+        assert np.allclose(h, np.transpose(h, (2, 1, 0)), rtol=0, atol=tol)
+        assert np.allclose(h, np.transpose(h, (0, 2, 1)), rtol=0, atol=tol)
+
+
+def _far_pairs(rng, n_targets, k, dim, n_sources=200):
+    far_t = np.sort(rng.integers(0, n_targets, k)).astype(INDEX)
+    far_s = rng.integers(0, n_sources, k).astype(INDEX)
+    com = 3.0 * rng.standard_normal((n_sources, dim))
+    mass = rng.random(n_sources)
+    center = rng.random((n_targets, dim))
+    quad = rng.standard_normal((n_sources, dim, dim)) * 1e-3
+    quad = quad + quad.transpose(0, 2, 1)
+    return (far_t, far_s, com, mass, center), quad
+
+
+class TestPackedM2L:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("with_quad", [False, True])
+    def test_bitwise_equal_to_einsum_oracle(self, order, dim, with_quad):
+        """Same bytes as the full-tensor formulation, at a G != 1 (which
+        catches a reassociated weight) and a softened kernel."""
+        rng = np.random.default_rng(7 + dim)
+        n_targets = 30
+        args, quad = _far_pairs(rng, n_targets, 1500, dim)
+        quad = quad if with_quad else None
+        got = LocalExpansion.zeros(n_targets, dim, order=order)
+        want = LocalExpansion.zeros(n_targets, dim, order=order)
+        n_got = m2l_accumulate(got, *args, G=0.7, eps2=2e-3, quad=quad)
+        n_want = einsum_m2l(want, *args, G=0.7, eps2=2e-3, quad=quad)
+        assert n_got == n_want
+        for name in ("a0", "jac", "hess"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert np.any(g != 0.0)
+                assert g.tobytes() == w.tobytes(), name
+
+    def test_dual_force_bitwise_with_oracle(self, monkeypatch):
+        """A BVH dual evaluation is byte-identical with the einsum M2L
+        patched in."""
+        s = plummer_sphere(600, seed=4)
+        bvh = build_bvh(s.x, s.m, order=2)
+        params = GravityParams(G=0.7, softening=0.05)
+
+        def dual_acc():
+            return tree_accelerations(
+                bvh_tree_view(bvh), s.x, s.m, params, traversal="dual",
+                theta=0.5, group_size=16, cc_mac=1.5, expansion_order=2)
+
+        got = dual_acc()
+        calls = []
+
+        def oracle(*a, **kw):
+            calls.append(a[1].size)
+            return einsum_m2l(*a, **kw)
+
+        monkeypatch.setattr(dual_module, "m2l_accumulate", oracle)
+        want = dual_acc()
+        assert calls and calls[0] > 0
+        assert got.tobytes() == want.tobytes()
 
 
 class TestM2LScatter:
