@@ -10,10 +10,11 @@ exactly an N-body problem* with the Student-t kernel:
 
 Barnes-Hut-SNE approximates the second sum (and Z) with a quadtree —
 the very application the paper's introduction cites as the modern
-driver for tree codes.  Here the repulsion runs through
-:func:`repro.octree.interaction.tree_interaction` with the
-:class:`~repro.octree.interaction.StudentTKernel`, i.e. the identical
-traversal machinery the gravity simulations use.
+driver for tree codes.  Here the repulsion is
+:func:`repro.traversal.lockstep.lockstep_accelerations` with the
+:class:`StudentTKernel` on the quadtree's
+:func:`~repro.octree.force.octree_tree_view`, i.e. the identical walk
+the gravity simulations use.
 
 The implementation is deliberately classic: perplexity calibration by
 binary search, early exaggeration, momentum gradient descent.  Dense
@@ -28,9 +29,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.interaction import StudentTKernel, tree_interaction
+from repro.octree.force import octree_tree_view
 from repro.octree.multipoles import compute_multipoles_vectorized
+from repro.traversal.lockstep import lockstep_accelerations
 from repro.types import FLOAT
+
+
+class StudentTKernel:
+    """The Barnes-Hut-SNE repulsion kernel [28].
+
+    With ``q = 1 / (1 + r^2)`` (Student-t with one degree of freedom),
+    an accepted node of ``count`` points contributes ``count * q^2`` to
+    the repulsive numerator (vector term) and ``count * q`` to the
+    normalization Z (scalar term); a point at ``r2 == 0`` (itself, or a
+    coincident twin) contributes nothing."""
+
+    scalar = True
+
+    def evaluate(self, r2, mass):
+        q = 1.0 / (1.0 + r2)
+        nonself = r2 > 0.0
+        return (
+            np.where(nonself, mass * q * q, 0.0),
+            np.where(nonself, mass * q, 0.0),
+        )
+
+    def pair(self, r2, mass):
+        if r2 > 0.0:
+            q = 1.0 / (1.0 + r2)
+            return mass * q * q, mass * q
+        return None
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -114,9 +142,9 @@ class BarnesHutTSNE:
         if self.use_tree and n > 16:
             pool = build_octree_vectorized(y)
             compute_multipoles_vectorized(pool, y, np.ones(n))
-            rep, z = tree_interaction(
-                pool, y, np.ones(n), StudentTKernel(), theta=self.theta
-            )
+            rep, z = lockstep_accelerations(
+                octree_tree_view(pool), y, np.ones(n), StudentTKernel(),
+                theta=self.theta)
             return -rep, float(z.sum())
         d2 = _pairwise_sq_dists(y)
         q = 1.0 / (1.0 + d2)

@@ -17,7 +17,7 @@ Concurrent Octree).
 
 from repro.bvh.layout import BVHLayout, bvh_escape_indices
 from repro.bvh.build import BVH, build_bvh, hilbert_sort_permutation
-from repro.bvh.force import bvh_accelerations, bvh_accelerations_scalar
+from repro.bvh.force import bvh_accelerations
 
 __all__ = [
     "BVHLayout",
@@ -26,5 +26,4 @@ __all__ = [
     "build_bvh",
     "hilbert_sort_permutation",
     "bvh_accelerations",
-    "bvh_accelerations_scalar",
 ]

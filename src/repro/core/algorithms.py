@@ -211,13 +211,6 @@ class OctreeHooks:
 
         return octree_tree_view(pool)
 
-    def lockstep(self, pool, x, m, config, ctx):
-        from repro.octree.force import octree_accelerations
-
-        return octree_accelerations(pool, x, m, config.gravity,
-                                    theta=config.theta, ctx=ctx,
-                                    simt_width=config.simt_width)
-
     def maintain(self, maint, system, algo, config, ctx):
         """The maintainer's step, then moments at current positions."""
         pool = maint.maintain_octree(
@@ -274,12 +267,6 @@ class BVHHooks:
 
         return bvh_tree_view(bvh)
 
-    def lockstep(self, bvh, x, m, config, ctx):
-        from repro.bvh.force import bvh_accelerations
-
-        return bvh_accelerations(bvh, config.gravity, theta=config.theta,
-                                 ctx=ctx, simt_width=config.simt_width)
-
     def maintain(self, maint, system, algo, config, ctx):
         return maint.maintain_bvh(system, algo)
 
@@ -291,9 +278,9 @@ class TreeAlgorithm(ForceAlgorithm):
     the maintainer's refit), moments, CALCULATEFORCE — and differs only
     in its *hooks* (:class:`OctreeHooks`, :class:`BVHHooks`): the build
     from a bounding box, the moments that make it force-ready, the
-    maintainer entry, the lockstep kernel and the traversal-engine view
-    the grouped/dual driver runs on.  The distributed runtime and the
-    checkpoint replay call the same hooks.
+    maintainer entry and the traversal-engine view that the lockstep
+    walk and the grouped/dual driver run on.  The distributed runtime
+    and the checkpoint replay call the same hooks.
     """
 
     complexity = "O(N log N)"
@@ -352,16 +339,25 @@ class TreeAlgorithm(ForceAlgorithm):
 
     def force(self, tree, x, m, config, ctx, *, view=None, cache=None,
               mac_margin=0.0):
-        """CALCULATEFORCE on a force-ready *tree*: the lockstep kernel,
-        or the grouped/dual driver over its view (*view*, when the
-        caller already has it)."""
+        """CALCULATEFORCE on a force-ready *tree*: the lockstep walk or
+        the grouped/dual driver, over its view (*view*, when the caller
+        already has it)."""
+        if view is None:
+            view = self.hooks.view(tree)
         if config.traversal == "lockstep":
-            return self.hooks.lockstep(tree, x, m, config, ctx)
+            from repro.traversal.lockstep import (
+                GravityKernel,
+                lockstep_accelerations,
+            )
+
+            acc, _ = lockstep_accelerations(
+                view, x, m, GravityKernel(config.gravity), theta=config.theta,
+                ctx=ctx, simt_width=config.simt_width)
+            return acc
         from repro.traversal.driver import tree_accelerations
 
         return tree_accelerations(
-            view if view is not None else self.hooks.view(tree),
-            x, m, config.gravity,
+            view, x, m, config.gravity,
             traversal=config.traversal, theta=config.theta,
             group_size=config.group_size, cc_mac=config.cc_mac,
             expansion_order=config.expansion_order,

@@ -1,4 +1,4 @@
-"""CALCULATEFORCE: stackless depth-first force traversal (paper Fig. 3).
+"""CALCULATEFORCE over the octree (paper Fig. 3) and its TreeView.
 
 For every body, the tree is walked from the root in DFS order.  An
 internal node whose cell size ``s`` and distance-to-centre-of-mass ``d``
@@ -8,13 +8,10 @@ subtree is skipped.  Leaf nodes interact exactly (a single-body leaf's
 centre of mass *is* the body, so the monopole term is the exact
 pairwise interaction; bucket leaves are expanded body by body).
 
-The computation per body is independent and lock-free, so the paper
-runs it with ``par_unseq``.  The batch implementation below advances
-all bodies' traversal pointers in lockstep with masked numpy ops —
-operationally identical to SIMT execution of the C++ kernel — and
-measures per-warp divergence exactly, which feeds the cost model's
-divergence term.  A per-body scalar walker (used by the tests and the
-reference backend) produces bit-identical visit sequences.
+The walk itself is the tree-independent lockstep kernel of
+:mod:`repro.traversal.lockstep`, run on :func:`octree_tree_view`; this
+module supplies the octree's view (cell-side MAC extent, escape
+pointers, bucket leaves) and its accounting constants.
 """
 
 from __future__ import annotations
@@ -22,21 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.octree.layout import _BODY_BASE, OctreePool
-from repro.octree.traversal import DONE, compute_escape_indices
+from repro.octree.traversal import compute_escape_indices
 from repro.physics.gravity import GravityParams
-from repro.physics.multipole import quadrupole_accel
 from repro.traversal.engine import (
     KLASS_EXACT,
     KLASS_INTERNAL,
     KLASS_POINT,
     KLASS_SKIP,
     TreeView,
-    account_lockstep_force,
     # Re-exported: perfbench's span tests check that from-import
     # bindings of the list builder in the tree modules are swapped.
     build_interaction_lists,  # noqa: F401
 )
-from repro.types import FLOAT, INDEX
+from repro.traversal.lockstep import GravityKernel, lockstep_accelerations
+from repro.types import INDEX
 
 #: Flops per node visit of the octree walk (cell-side MAC + step).
 _FLOPS_PER_VISIT = 8.0
@@ -66,134 +62,9 @@ def octree_accelerations(
     simt_width: int = 32,
 ) -> np.ndarray:
     """Barnes-Hut accelerations for all bodies (lockstep batch walk)."""
-    _prepare(pool)
-    x = np.asarray(x, dtype=FLOAT)
-    n, dim = x.shape
-    acc = np.zeros((n, dim), dtype=FLOAT)
-    if n == 0 or pool.n_nodes == 0:
-        return acc
-
-    nn = pool.n_nodes
-    child = pool.child[:nn]
-    com = pool.com
-    mass = pool.mass[:nn]
-    count = pool.count[:nn]
-    quad = pool.quad
-    escape = pool.escape
-    side2 = pool.node_side(pool.depth[:nn]) ** 2
-    theta2 = theta * theta
-    eps2 = params.eps2
-    G = params.G
-
-    ptr = np.zeros(n, dtype=INDEX)           # every body starts at the root
-    steps = np.zeros(n, dtype=np.int64)
-    interactions = 0
-    quad_terms = 0
-    bucket_targets: list[np.ndarray] = []
-    bucket_nodes: list[np.ndarray] = []
-
-    act = np.arange(n, dtype=INDEX)
-    while act.size:
-        nd = ptr[act]
-        c = child[nd]
-        internal = c >= 0
-        dvec = com[nd] - x[act]
-        r2 = np.einsum("ij,ij->i", dvec, dvec)
-        accept = internal & (side2[nd] < theta2 * r2)
-        leaf = ~internal
-        bucket = leaf & (count[nd] > 1)
-        contrib = (accept | leaf) & ~bucket
-
-        if contrib.any():
-            r2c = r2[contrib] + eps2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(r2c > 0.0, G * mass[nd][contrib] * r2c ** -1.5, 0.0)
-            # `act` rows are unique, so fancy-index += is race-free here.
-            acc[act[contrib]] += w[:, None] * dvec[contrib]
-            interactions += int(np.count_nonzero(w))
-            if quad is not None:
-                # Order-2 term for accepted internal nodes (leaf
-                # monopoles are exact; their quadrupole is zero).
-                q_rows = accept[contrib]
-                if q_rows.any():
-                    sel = np.nonzero(contrib)[0][q_rows]
-                    acc[act[sel]] += quadrupole_accel(
-                        dvec[sel], r2[sel] + eps2, quad[nd[sel]], G
-                    )
-                    quad_terms += int(q_rows.sum())
-
-        if bucket.any():
-            bucket_targets.append(act[bucket].copy())
-            bucket_nodes.append(nd[bucket].copy())
-
-        ptr[act] = np.where(accept | leaf, escape[nd], c)
-        steps[act] += 1
-        act = act[ptr[act] != DONE]
-
-    # Exact expansion of bucket leaves (deepest-cell collisions; rare).
-    for targets, nodes in zip(bucket_targets, bucket_nodes):
-        for i, node in zip(targets, nodes):
-            for b in pool.leaf_bodies(int(node)):
-                if b == i:
-                    continue
-                d = x[b] - x[i]
-                r2 = float(d @ d) + eps2
-                if r2 > 0.0:
-                    acc[i] += G * m[b] * r2**-1.5 * d
-                    interactions += 1
-
-    if ctx is not None:
-        account_lockstep_force(ctx.counters, steps, interactions, dim=dim,
-                               simt_width=simt_width,
-                               visit_bytes=_visit_bytes(dim),
-                               flops_per_visit=_FLOPS_PER_VISIT,
-                               quad_terms=quad_terms)
-    return acc
-
-
-def octree_accelerations_scalar(
-    pool: OctreePool,
-    x: np.ndarray,
-    m: np.ndarray,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-) -> np.ndarray:
-    """Per-body stackless walker (reference; bit-compatible traversal)."""
-    _prepare(pool)
-    x = np.asarray(x, dtype=FLOAT)
-    n, dim = x.shape
-    acc = np.zeros((n, dim), dtype=FLOAT)
-    nn = pool.n_nodes
-    side2 = pool.node_side(pool.depth[:nn]) ** 2
-    theta2 = theta * theta
-    eps2 = params.eps2
-    for i in range(n):
-        node = 0
-        while node != DONE:
-            c = int(pool.child[node])
-            internal = c >= 0
-            dvec = pool.com[node] - x[i]
-            r2 = float(dvec @ dvec)
-            accept = internal and side2[node] < theta2 * r2
-            if accept or (not internal and pool.count[node] <= 1):
-                r2f = r2 + eps2
-                if r2f > 0.0 and pool.mass[node] > 0.0:
-                    acc[i] += params.G * pool.mass[node] * r2f**-1.5 * dvec
-                    if accept and pool.quad is not None:
-                        acc[i] += quadrupole_accel(
-                            dvec[None], np.array([r2f]),
-                            pool.quad[node][None], params.G,
-                        )[0]
-            elif not internal:
-                for b in pool.leaf_bodies(node):
-                    if b == i:
-                        continue
-                    d = x[b] - x[i]
-                    r2b = float(d @ d) + eps2
-                    if r2b > 0.0:
-                        acc[i] += params.G * m[b] * r2b**-1.5 * d
-            node = int(pool.escape[node]) if (accept or not internal) else c
+    acc, _ = lockstep_accelerations(
+        octree_tree_view(pool), x, m, GravityKernel(params), theta=theta,
+        ctx=ctx, simt_width=simt_width)
     return acc
 
 
@@ -257,6 +128,7 @@ def octree_tree_view(pool: OctreePool) -> TreeView:
         klass=klass,
         point_body=point_body,
         dfs_rank=_octree_dfs_ranks(pool),
+        escape=pool.escape,
         quad=pool.quad,
         visit_bytes=_visit_bytes(pool.dim),
         flops_per_visit=_FLOPS_PER_VISIT,

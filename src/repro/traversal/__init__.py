@@ -8,6 +8,8 @@ bounding box, and the resulting *interaction list* is evaluated as a
 dense ``group x node`` tile.  This package supplies that engine for
 both tree strategies (octree and Hilbert BVH):
 
+* :mod:`repro.traversal.lockstep` — the paper's per-body stackless
+  walk (every body in SIMT lockstep) with a pluggable pairwise kernel;
 * :mod:`repro.traversal.groups` — Hilbert-contiguous body grouping and
   per-group AABBs;
 * :mod:`repro.traversal.engine` — the generic list-building walk
@@ -27,7 +29,7 @@ both tree strategies (octree and Hilbert BVH):
 
 At ``group_size=1`` the group AABB degenerates to the body's position,
 the conservative MAC coincides with the per-body criterion, and the
-evaluation reproduces the lockstep kernels bit for bit (at monopole
+evaluation reproduces the lockstep walk bit for bit (at monopole
 order) — the property the tests pin down.
 """
 
@@ -43,6 +45,12 @@ from repro.traversal.engine import (
     build_interaction_lists,
     evaluate_interaction_lists,
     resolve_eval_mode,
+)
+from repro.traversal.lockstep import (
+    GravityKernel,
+    InteractionKernel,
+    expand_exact,
+    lockstep_accelerations,
 )
 from repro.traversal.flat import (
     FlatLists,
@@ -71,6 +79,8 @@ __all__ = [
     "BodyGroups",
     "DualLists",
     "FlatLists",
+    "GravityKernel",
+    "InteractionKernel",
     "InteractionLists",
     "TargetTree",
     "TreeView",
@@ -89,7 +99,9 @@ __all__ = [
     "evaluate_dual",
     "evaluate_flat",
     "evaluate_interaction_lists",
+    "expand_exact",
     "hilbert_body_order",
+    "lockstep_accelerations",
     "make_groups",
     "resolve_eval_mode",
     "tree_accelerations",

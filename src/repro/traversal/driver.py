@@ -7,9 +7,9 @@ callback and accounting constants), so the list cache, the evaluator
 choice, the per-epoch precomputes, the exact bucket-leaf expansion, the
 accounting and the un-permute exist once.  The distributed runtime's
 cross-rank halo force is the same call with another rank's bodies as
-foreign targets.  The paper's per-body lockstep kernels
-(``repro.octree.force`` / ``repro.bvh.force``) stay separate as the
-bit-exact references.
+foreign targets.  The paper's per-body walk is
+:mod:`repro.traversal.lockstep` over the same view; both expand bucket
+leaves through its :func:`~repro.traversal.lockstep.expand_exact`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.traversal.engine import (
     resolve_eval_mode,
 )
 from repro.traversal.flat import build_flat_lists
+from repro.traversal.lockstep import GravityKernel, expand_exact
 from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
 
@@ -96,7 +97,7 @@ def tree_accelerations(
     :func:`~repro.traversal.engine.account_grouped_force`).
 
     At ``group_size=1`` (monopole order) the grouped result is
-    bit-identical to the lockstep kernels, and ``cc_mac=0`` makes the
+    bit-identical to the lockstep walk, and ``cc_mac=0`` makes the
     dual result bit-identical to the grouped one.
     """
     x = np.asarray(x, dtype=FLOAT)
@@ -165,24 +166,17 @@ def tree_accelerations(
         acc_s, stats = evaluate_interaction_lists(view, lists, groups,
                                                   x_sorted, **kw)
 
-    # Exact expansion of bucket leaves (same scalar math as lockstep).
+    # Exact expansion of bucket leaves: the lockstep walk's routine.
     pairs = stats["pairs"]
     if not (flat is not None and flat.includes_exact):
-        eps2 = params.eps2
-        G = params.G
+        kernel = GravityKernel(params)
         go = groups.offsets
         for g, node in zip(lists.exact_groups, lists.exact_nodes):
             bodies = view.exact_bodies(int(node))
             for row in range(int(go[g]), int(go[g + 1])):
-                i = -1 if foreign else int(perm[row])
-                for b in bodies:
-                    if b == i:
-                        continue
-                    d = x[b] - x_sorted[row]
-                    r2b = float(d @ d) + eps2
-                    if r2b > 0.0:
-                        acc_s[row] += G * m[b] * r2b**-1.5 * d
-                        pairs += 1
+                pairs += expand_exact(kernel, bodies,
+                                      -1 if foreign else int(perm[row]),
+                                      x_sorted[row], x, m, acc_s, row)
 
     if ctx is not None:
         common = dict(

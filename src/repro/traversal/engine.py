@@ -30,14 +30,14 @@ fast in numpy.  Since the accept/open decision at a node depends only
 on the node and the group box — never on visit order — the visited set
 equals the stackless DFS walk's; each group's emissions are then sorted
 by the nodes' precomputed DFS-preorder rank, recovering the exact
-per-body DFS emission order the lockstep kernels accumulate in.
+per-body DFS emission order the lockstep walk accumulates in.
 
 **Evaluation** has two forms:
 
 * ``tile`` — turns each group's list into a dense ``group x node``
   tile, forms ``dvec = com - x`` explicitly and reduces the
   contributions sequentially along the (strided) list axis, which makes
-  it bit-compatible with the per-body lockstep kernels' accumulation
+  it bit-compatible with the per-body lockstep walk's accumulation
   order; the reference, used at ``group_size=1`` where exact equality
   is the contract.
 * ``flat`` / ``gemm`` — :mod:`repro.traversal.flat`: the lists of
@@ -74,6 +74,9 @@ KLASS_INTERNAL = 0
 KLASS_POINT = 1
 KLASS_EXACT = 2
 KLASS_SKIP = 3
+
+#: Escape pointer that ends a stackless walk (both trees' ``DONE``).
+DONE = -1
 
 
 def mac_threshold2(
@@ -133,6 +136,11 @@ class TreeView:
     #: DFS-preorder rank of every node — orders each group's emissions
     #: the way the stackless per-body walk would emit them.
     dfs_rank: np.ndarray
+    #: Stackless skip pointer of every node: the next node in DFS order
+    #: once its subtree is done (paper Fig. 3's backward step; the BVH's
+    #: multi-level skip-list jump), ``DONE`` after the last.  The
+    #: lockstep walk (:mod:`repro.traversal.lockstep`) follows it.
+    escape: np.ndarray
     quad: np.ndarray | None = None   # (n_nodes, 3, 3) at multipole order 2
     #: Bytes touched per node visit of the list-building walk.
     visit_bytes: float = 50.0
@@ -229,7 +237,7 @@ def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
     """The evaluator ``eval_mode="auto"`` stands for.
 
     Tile for one-body groups, whose contract is bit-exactness with the
-    lockstep kernels; otherwise flat when the caller passes an entry
+    lockstep walk; otherwise flat when the caller passes an entry
     dict (*amortized*), gemm when it passes none.  The entry amortizes
     flat's block preparation only when it outlives the call — the
     maintainer's epoch entry does; a rebuild-every-step run's per-call

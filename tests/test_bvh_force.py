@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.bvh.build import build_bvh
-from repro.bvh.force import bvh_accelerations, bvh_accelerations_scalar
+from repro.bvh.force import bvh_accelerations, bvh_tree_view
 from repro.octree.build_vectorized import build_octree_vectorized
 from repro.octree.force import octree_accelerations
 from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.stdpar.context import ExecutionContext
+from tests.walk_oracle import scalar_walk
 
 
 class TestCorrectness:
@@ -22,8 +23,9 @@ class TestCorrectness:
     def test_batch_matches_scalar(self, small_cloud, soft_gravity):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         a = bvh_accelerations(bvh, soft_gravity, theta=0.5)
-        b = bvh_accelerations_scalar(bvh, soft_gravity, theta=0.5)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+        b = scalar_walk(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
+                        soft_gravity, theta=0.5)
+        assert np.array_equal(a, b)
 
     def test_results_in_caller_order(self, small_cloud, soft_gravity):
         """The Hilbert permutation must be invisible to the caller."""

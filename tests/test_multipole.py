@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bvh.build import build_bvh
-from repro.bvh.force import bvh_accelerations, bvh_accelerations_scalar
+from repro.bvh.force import bvh_accelerations, bvh_tree_view
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.force import octree_accelerations, octree_accelerations_scalar
+from repro.octree.force import octree_accelerations, octree_tree_view
 from repro.octree.multipoles import (
     compute_multipoles_concurrent,
     compute_multipoles_vectorized,
@@ -25,6 +25,7 @@ from repro.physics.multipole import (
     quadrupole_of_points,
 )
 from repro.workloads import galaxy_collision
+from tests.walk_oracle import scalar_walk
 
 
 class TestTensorMath:
@@ -109,6 +110,12 @@ def workload():
     return system, params, ref
 
 
+@pytest.fixture(scope="module")
+def small_workload():
+    """N=256: small enough for the per-body scalar oracle."""
+    return galaxy_collision(256, seed=3), GravityParams(softening=0.05)
+
+
 class TestOctreeOrder2:
     def test_improves_accuracy_at_fixed_theta(self, workload):
         system, params, ref = workload
@@ -120,13 +127,14 @@ class TestOctreeOrder2:
             errs[order] = np.abs(acc - ref).max()
         assert errs[2] < 0.6 * errs[1]
 
-    def test_batch_matches_scalar(self, workload):
-        system, params, _ = workload
+    def test_batch_matches_scalar(self, small_workload):
+        system, params = small_workload
         pool = build_octree_vectorized(system.x)
         compute_multipoles_vectorized(pool, system.x, system.m, order=2)
         a = octree_accelerations(pool, system.x, system.m, params, theta=0.5)
-        b = octree_accelerations_scalar(pool, system.x, system.m, params, theta=0.5)
-        assert np.allclose(a, b, atol=1e-13)
+        b = scalar_walk(octree_tree_view(pool), system.x, system.m, params,
+                        theta=0.5)
+        assert np.array_equal(a, b)
 
     def test_concurrent_reduction_matches(self, workload):
         system, _, _ = workload
@@ -187,12 +195,13 @@ class TestBVHOrder2:
             errs[order] = np.abs(acc - ref).max()
         assert errs[2] < 0.6 * errs[1]
 
-    def test_batch_matches_scalar(self, workload):
-        system, params, _ = workload
+    def test_batch_matches_scalar(self, small_workload):
+        system, params = small_workload
         bvh = build_bvh(system.x, system.m, order=2)
         a = bvh_accelerations(bvh, params, theta=0.5)
-        b = bvh_accelerations_scalar(bvh, params, theta=0.5)
-        assert np.allclose(a, b, atol=1e-13)
+        b = scalar_walk(bvh_tree_view(bvh), system.x, system.m, params,
+                        theta=0.5)
+        assert np.array_equal(a, b)
 
     def test_root_quadrupole_is_global(self, workload):
         system, _, _ = workload

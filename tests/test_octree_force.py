@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.force import octree_accelerations, octree_accelerations_scalar
+from repro.octree.force import octree_accelerations, octree_tree_view
 from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.stdpar.context import ExecutionContext
+from repro.traversal.engine import KLASS_EXACT
+from tests.walk_oracle import scalar_walk
 
 
 def bh_tree(system, bits=10):
@@ -31,9 +33,27 @@ class TestCorrectness:
         pool = bh_tree(small_cloud)
         a = octree_accelerations(pool, small_cloud.x, small_cloud.m,
                                  soft_gravity, theta=0.5)
-        b = octree_accelerations_scalar(pool, small_cloud.x, small_cloud.m,
-                                        soft_gravity, theta=0.5)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+        b = scalar_walk(octree_tree_view(pool), small_cloud.x, small_cloud.m,
+                        soft_gravity, theta=0.5)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("softening", [0.0, 0.2])
+    def test_batch_matches_scalar_bucket_leaves(self, order, softening):
+        """Four coincident bodies per point at ``bits=4`` fill bucket
+        leaves, every 17th massless: deferred bucket expansion and the
+        quadrupole term match the per-body oracle bit for bit."""
+        rng = np.random.default_rng(7)
+        x = np.repeat(rng.random((64, 3)), 4, axis=0)
+        m = rng.random(256) + 0.1
+        m[::17] = 0.0
+        params = GravityParams(softening=softening)
+        pool = build_octree_vectorized(x, bits=4)
+        compute_multipoles_vectorized(pool, x, m, order=order)
+        view = octree_tree_view(pool)
+        assert np.count_nonzero(view.klass == KLASS_EXACT) > 30
+        a = octree_accelerations(pool, x, m, params, theta=0.5)
+        assert np.array_equal(a, scalar_walk(view, x, m, params, theta=0.5))
 
     @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
     def test_approximation_error_bounded(self, small_cloud, soft_gravity, theta):

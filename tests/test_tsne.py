@@ -1,14 +1,26 @@
-"""Tests for the generic tree interaction and the Barnes-Hut t-SNE app
-(the paper's motivating machine-learning application [27], [28])."""
+"""Tests for the lockstep walk's pluggable kernels and the Barnes-Hut
+t-SNE app (the paper's motivating machine-learning application [27],
+[28])."""
 
 import numpy as np
 import pytest
 
-from repro.apps.tsne import BarnesHutTSNE, pairwise_affinities, _pairwise_sq_dists
+from repro.apps.tsne import (
+    BarnesHutTSNE,
+    StudentTKernel,
+    _pairwise_sq_dists,
+    pairwise_affinities,
+)
 from repro.octree.build_vectorized import build_octree_vectorized
-from repro.octree.interaction import GravityKernel, StudentTKernel, tree_interaction
+from repro.octree.force import octree_tree_view
 from repro.octree.multipoles import compute_multipoles_vectorized
-from repro.physics.gravity import GravityParams, pairwise_accelerations
+from repro.physics.gravity import (
+    SPECIAL_PER_INTERACTION,
+    GravityParams,
+    pairwise_accelerations,
+)
+from repro.stdpar.context import ExecutionContext
+from repro.traversal.lockstep import GravityKernel, lockstep_accelerations
 
 
 def clusters(n_per=50, k=3, d=8, seed=0, spread=8.0):
@@ -18,6 +30,12 @@ def clusters(n_per=50, k=3, d=8, seed=0, spread=8.0):
     return x, np.repeat(np.arange(k), n_per)
 
 
+def tree_interaction(pool, x, m, kernel, *, theta=0.5, ctx=None):
+    """The lockstep walk of *kernel* over the quadtree *pool*."""
+    return lockstep_accelerations(octree_tree_view(pool), x, m, kernel,
+                                  theta=theta, ctx=ctx)
+
+
 class TestTreeInteraction:
     def test_gravity_kernel_matches_force_module(self, small_cloud):
         params = GravityParams(softening=1e-3)
@@ -25,11 +43,11 @@ class TestTreeInteraction:
         compute_multipoles_vectorized(pool, small_cloud.x, small_cloud.m)
         vec, scalar = tree_interaction(
             pool, small_cloud.x, small_cloud.m,
-            GravityKernel(G=1.0, softening=1e-3), theta=0.0,
+            GravityKernel(params), theta=0.0,
         )
         ref = pairwise_accelerations(small_cloud.x, small_cloud.m, params)
         assert np.allclose(vec, ref, rtol=1e-9)
-        assert np.allclose(scalar, 0.0)
+        assert scalar is None
 
     def test_student_t_exact_at_theta_zero(self, rng):
         y = rng.standard_normal((150, 2))
@@ -71,6 +89,19 @@ class TestTreeInteraction:
         # point 0 sees point 1 at distance 0 (excluded -> contributes 0)
         # and point 2 at distance 3.
         assert z[0] == pytest.approx(1.0 / (1.0 + 9.0), rel=1e-9)
+
+    def test_accounting_counts_nonzero_weights(self, rng):
+        """At theta=0 distinct points interact pairwise: n*(n-1)
+        interactions are charged, not one per node visit."""
+        n = 60
+        y = rng.standard_normal((n, 2))
+        pool = build_octree_vectorized(y)
+        compute_multipoles_vectorized(pool, y, np.ones(n))
+        ctx = ExecutionContext()
+        tree_interaction(pool, y, np.ones(n), StudentTKernel(), theta=0.0,
+                         ctx=ctx)
+        assert (ctx.counters.special_flops
+                == n * (n - 1) * SPECIAL_PER_INTERACTION)
 
 
 class TestAffinities:
