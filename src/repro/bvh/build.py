@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, compute_bounding_box, quantize_to_grid
-from repro.geometry.hilbert import hilbert_encode
-from repro.geometry.morton import max_bits, morton_encode
+from repro.geometry.aabb import AABB, compute_bounding_box
+from repro.geometry.hilbert import curve_keys
+from repro.geometry.morton import max_bits
+from repro.physics.multipole import check_multipole_order
 from repro.bvh.layout import BVHLayout, bvh_escape_indices, next_pow2
 from repro.stdpar.context import ExecutionContext
 from repro.stdpar.policy import par
@@ -60,18 +61,7 @@ def hilbert_sort_permutation(
         return np.empty(0, dtype=INDEX)
     if keys is None:
         bits = max_bits(dim) if bits is None else bits
-        grid = quantize_to_grid(x, box, bits)
-        if curve == "hilbert":
-            keys = hilbert_encode(grid, bits)
-        elif curve == "morton":
-            keys = morton_encode(grid, bits)
-        else:
-            raise ValueError(f"unknown curve {curve!r}")
-        if ctx is not None:
-            # Key computation cost: ~bits*dim bit-ops per body.
-            ctx.counters.add(flops=float(n * bits * dim),
-                             bytes_read=8.0 * n * dim,
-                             bytes_written=8.0 * n)
+        keys = curve_keys(x, box, bits, curve=curve, ctx=ctx)
     if ctx is not None:
         from repro.stdpar.algorithms import sort_by_key
 
@@ -148,10 +138,7 @@ def assemble_bvh(
     ``order=2`` additionally reduces traceless quadrupole tensors level
     by level (the paper's multipole extension); still atomics-free.
     """
-    if order not in (1, 2):
-        raise ValueError(f"multipole order must be 1 or 2, got {order}")
-    if order == 2 and np.asarray(x).shape[1] != 3:
-        raise ValueError("quadrupole moments are 3-D only")
+    check_multipole_order(order, np.asarray(x).shape[1])
     x = np.asarray(x, dtype=FLOAT)
     m = np.asarray(m, dtype=FLOAT)
     n, dim = x.shape

@@ -17,22 +17,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-import numpy as np
+from repro.core.config import LEGAL_VALUES, TREE_ALGORITHMS, SimulationConfig
+from repro.errors import ConfigurationError
 
-from repro.core.config import (
-    ALGORITHM_NAMES,
-    EVAL_MODES,
-    TRAVERSALS,
-    TREE_UPDATE_MODES,
-)
+_DEFAULTS = SimulationConfig()
+
+
+def _config_flag(p: argparse.ArgumentParser, name: str, *,
+                 choices=None, help=None) -> None:
+    """``--name`` for the :class:`SimulationConfig` field *name*: the
+    config's default, and the legality table's values as choices."""
+    default = getattr(_DEFAULTS, name)
+    p.add_argument("--" + name.replace("_", "-"), dest=name,
+                   default=default, type=type(default),
+                   choices=choices or LEGAL_VALUES.get(name), help=help)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm", default="octree",
-                   choices=ALGORITHM_NAMES)
+    _config_flag(p, "algorithm")
     p.add_argument("--n", type=int, default=10_000, help="number of bodies")
-    p.add_argument("--theta", type=float, default=0.5)
+    _config_flag(p, "theta")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workload", default="galaxy",
                    choices=["galaxy", "plummer", "uniform", "solar"])
@@ -57,19 +63,9 @@ def _cmd_run(args) -> int:
 
     gravity = SOLAR_GRAVITY if args.workload == "solar" else GravityParams(softening=0.05)
     system = _make_system(args)
-    cfg = SimulationConfig(algorithm=args.algorithm, theta=args.theta,
-                           dt=args.dt, gravity=gravity,
-                           traversal=args.traversal, group_size=args.group_size,
-                           eval_mode=args.eval_mode,
-                           cc_mac=args.cc_mac,
-                           expansion_order=args.expansion_order,
-                           ranks=args.ranks, decomposition=args.decomposition,
-                           rebalance_steps=args.rebalance_steps,
-                           interconnect=args.interconnect,
-                           ranks_per_node=args.ranks_per_node,
-                           inter_interconnect=args.inter_interconnect,
-                           tree_update=args.tree_update,
-                           drift_budget=args.drift_budget)
+    cfg = SimulationConfig(gravity=gravity, **{
+        f.name: getattr(args, f.name) for f in fields(SimulationConfig)
+        if hasattr(args, f.name)})
     tracer = None
     if args.trace_out:
         from repro.obs import Tracer
@@ -161,7 +157,6 @@ def _cmd_triad(args) -> int:
 
 def _cmd_project(args) -> int:
     from repro.bench import format_table, measure_pipeline, project_throughput
-    from repro.core.config import SimulationConfig
     from repro.machine import get_device
     from repro.physics import GravityParams
 
@@ -207,7 +202,6 @@ def _cmd_serve(args) -> int:
     import json
     import pathlib
 
-    from repro.core.config import SimulationConfig
     from repro.serve import RequestClass, SessionServer, generate_traffic
 
     classes = None
@@ -291,51 +285,42 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("run", help="run a simulation")
     _add_common(p)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--traversal", default="lockstep",
-                   choices=TRAVERSALS,
-                   help="force traversal: per-body lockstep, group-coherent, "
-                        "or dual-tree cell-cell with local expansions")
-    p.add_argument("--group-size", type=int, default=32, dest="group_size",
-                   help="bodies per traversal group (grouped/dual modes)")
-    p.add_argument("--eval-mode", default="auto", dest="eval_mode",
-                   choices=EVAL_MODES,
-                   help="grouped/dual list evaluator: per-group reference "
-                        "tiles (tile), batch kernels with n3l near-field "
-                        "dedup (flat) or the same batches without it "
-                        "(gemm); auto = tile for one-body groups, else "
-                        "flat at ranks=1 and gemm at ranks>1")
-    p.add_argument("--cc-mac", type=float, default=1.5, dest="cc_mac",
-                   help="dual mode: target-side opening multiplier of the "
-                        "cell-cell MAC (0 disables the far-field branch)")
-    p.add_argument("--expansion-order", type=int, default=2,
-                   dest="expansion_order", choices=[0, 1, 2],
-                   help="dual mode: local Taylor expansion order of the "
-                        "downsweep")
-    p.add_argument("--ranks", type=int, default=1,
-                   help="simulated ranks (>1 enables repro.distributed)")
-    p.add_argument("--decomposition", default="static",
-                   choices=["static", "weighted"],
-                   help="split points: equal counts or counter-fed work")
-    p.add_argument("--rebalance-steps", type=int, default=8,
-                   dest="rebalance_steps",
-                   help="recompute split points every k-th step")
-    p.add_argument("--interconnect", default="nvlink4",
-                   help="link class between ranks (see machine.catalog)")
-    p.add_argument("--ranks-per-node", type=int, default=0,
-                   dest="ranks_per_node",
-                   help="ranks sharing the intra-node link (0 = all)")
-    p.add_argument("--inter-interconnect", default="ib-ndr",
-                   dest="inter_interconnect",
-                   help="inter-node link class of the hierarchical fabric")
-    p.add_argument("--tree-update", default="rebuild", dest="tree_update",
-                   choices=TREE_UPDATE_MODES,
-                   help="tree maintenance: rebuild every step, refit while "
-                        "the curve order holds, or cost-model auto policy")
-    p.add_argument("--drift-budget", type=float, default=0.01,
-                   dest="drift_budget",
-                   help="max body drift per epoch, as a fraction of the "
-                        "root cell side (bounds the refit MAC inflation)")
+    _config_flag(p, "dt")
+    _config_flag(p, "traversal",
+                 help="force traversal: per-body lockstep, group-coherent, "
+                      "or dual-tree cell-cell with local expansions")
+    _config_flag(p, "group_size",
+                 help="bodies per traversal group (grouped/dual modes)")
+    _config_flag(p, "eval_mode",
+                 help="grouped/dual list evaluator: per-group reference "
+                      "tiles (tile), batch kernels with n3l near-field "
+                      "dedup (flat) or the same batches without it "
+                      "(gemm); auto = tile for one-body groups, else "
+                      "flat at ranks=1 and gemm at ranks>1")
+    _config_flag(p, "cc_mac",
+                 help="dual mode: target-side opening multiplier of the "
+                      "cell-cell MAC (0 disables the far-field branch)")
+    _config_flag(p, "expansion_order",
+                 help="dual mode: local Taylor expansion order of the "
+                      "downsweep")
+    _config_flag(p, "ranks",
+                 help="simulated ranks (>1 enables repro.distributed)")
+    _config_flag(p, "decomposition",
+                 help="split points: equal counts or counter-fed work")
+    _config_flag(p, "rebalance_steps",
+                 help="recompute split points every k-th step")
+    _config_flag(p, "interconnect",
+                 help="link class between ranks (see machine.catalog)")
+    _config_flag(p, "ranks_per_node",
+                 help="ranks sharing the intra-node link (0 = all)")
+    _config_flag(p, "inter_interconnect",
+                 help="inter-node link class of the hierarchical fabric")
+    _config_flag(p, "tree_update",
+                 help="tree maintenance: rebuild every step, refit while "
+                      "the curve order holds, or cost-model auto policy")
+    _config_flag(p, "drift_budget",
+                 help="max body drift per epoch, as a fraction of the "
+                      "root cell side (bounds the refit MAC inflation)")
     p.add_argument("--profile", action="store_true",
                    help="print a per-phase table of modeled time and "
                         "counter totals per step")
@@ -384,9 +369,8 @@ def main(argv: list[str] | None = None) -> int:
                    choices=["galaxy", "plummer", "cube", "solar"],
                    help="single-class traffic "
                         "(default: the interactive/batch/sweep mix)")
-    p.add_argument("--algorithm", default="octree",
-                   choices=["octree", "bvh", "octree-2stage"],
-                   help="algorithm of --workload-class traffic")
+    _config_flag(p, "algorithm", choices=TREE_ALGORITHMS,
+                 help="algorithm of --workload-class traffic")
     p.add_argument("--n", type=int, default=256,
                    help="bodies per session of --workload-class traffic")
     p.add_argument("--steps", type=int, default=8,
@@ -425,7 +409,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigurationError as exc:
+        sub.choices[args.cmd].error(str(exc))
 
 
 if __name__ == "__main__":

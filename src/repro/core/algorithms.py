@@ -361,8 +361,8 @@ class TreeAlgorithm(ForceAlgorithm):
             traversal=config.traversal, theta=config.theta,
             group_size=config.group_size, cc_mac=config.cc_mac,
             expansion_order=config.expansion_order,
-            ctx=ctx, simt_width=config.simt_width, cache=cache,
-            eval_mode=config.eval_mode, mac_margin=mac_margin,
+            ctx=ctx, cache=cache, eval_mode=config.eval_mode,
+            mac_margin=mac_margin,
         )
 
 

@@ -6,11 +6,16 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.physics.gravity import GravityParams
+from repro.physics.multipole import MULTIPOLE_ORDERS
+
+#: Algorithms with a tree: the ones that can maintain it across steps
+#: (``tree_update``) and distribute it over ranks (``ranks > 1``).
+TREE_ALGORITHMS = ("octree", "bvh", "octree-2stage")
 
 #: Algorithm identifiers: the paper's four evaluated algorithms plus
 #: the two-stage comparator (Thüring et al. [22], the solver Section
 #: V-A validates against).
-ALGORITHM_NAMES = ("all-pairs", "all-pairs-col", "octree", "bvh", "octree-2stage")
+ALGORITHM_NAMES = ("all-pairs", "all-pairs-col") + TREE_ALGORITHMS
 
 #: Tree-maintenance policies (repro.maintenance): rebuild every step
 #: (the paper's pipeline), refit the existing tree while the Hilbert
@@ -24,6 +29,21 @@ TRAVERSALS = ("lockstep", "grouped", "dual")
 #: List evaluators of the grouped / dual near field (see
 #: ``SimulationConfig.eval_mode``).
 EVAL_MODES = ("auto", "tile", "gemm", "flat")
+
+#: The legality table: every enumerated :class:`SimulationConfig` field
+#: and its legal values, in the order the CLI offers them.  The config
+#: validates against it, the CLI takes its choices from it, and the
+#: config-matrix tests draw from it.
+LEGAL_VALUES: dict[str, tuple] = {
+    "algorithm": ALGORITHM_NAMES,
+    "curve": ("hilbert", "morton"),
+    "multipole_order": MULTIPOLE_ORDERS,
+    "tree_update": TREE_UPDATE_MODES,
+    "traversal": TRAVERSALS,
+    "eval_mode": EVAL_MODES,
+    "expansion_order": (0, 1, 2),
+    "decomposition": ("static", "weighted"),
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +85,10 @@ class SimulationConfig:
     #: key disorder and body drift stay below bounds; ``"auto"``
     #: additionally asks the machine cost model whether the refit or the
     #: rebuild is cheaper this step.  Supersedes ``tree_reuse_steps``
-    #: (the two must not be combined).
+    #: (the two must not be combined).  At ``ranks > 1``, ``"auto"``
+    #: behaves exactly as ``"refit"``: the distributed runtime takes one
+    #: refit-or-rebuild decision for all ranks against the fixed
+    #: ``refit_disorder_threshold`` and never consults the cost model.
     tree_update: str = "rebuild"
     #: Maximum body displacement since the last full build, as a
     #: fraction of the root cube side, before a refit is no longer
@@ -92,7 +115,10 @@ class SimulationConfig:
     traversal: str = "lockstep"
     #: Bodies per group for ``traversal="grouped"``/``"dual"``.
     #: ``group_size=1`` reproduces the lockstep walk bit for bit (at
-    #: monopole order, grouped traversal).
+    #: monopole order, grouped traversal) on every evaluation that builds
+    #: its lists.  A single rank under ``tree_update`` refit/auto reuses
+    #: the lists across refits where lockstep walks afresh, so the two
+    #: trajectories part from the first refit on.
     group_size: int = 32
     #: List evaluator of the grouped / dual near field: ``"tile"``
     #: (dense per-group tiles, bit-compatible with the lockstep
@@ -125,7 +151,8 @@ class SimulationConfig:
     #: Simulated ranks.  ``1`` (default) runs the ordinary single-rank
     #: kernels untouched; ``K > 1`` routes force evaluation through
     #: :mod:`repro.distributed`: Hilbert-range domain decomposition,
-    #: per-rank local trees, LET halo exchange over the modeled fabric.
+    #: per-rank local trees of any tree algorithm, LET halo exchange
+    #: over the modeled fabric.
     ranks: int = 1
     #: Split-point policy: ``"static"`` = equal body counts,
     #: ``"weighted"`` = equal counter-fed per-body work (Becciani-style).
@@ -150,35 +177,16 @@ class SimulationConfig:
     unsafe_relax_policy: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHM_NAMES:
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHM_NAMES}"
-            )
+        for name, legal in LEGAL_VALUES.items():
+            value = getattr(self, name)
+            if value not in legal:
+                raise ConfigurationError(
+                    f"{name} must be one of {legal}, got {value!r}"
+                )
         if self.theta < 0:
             raise ConfigurationError("theta must be non-negative")
         if self.dt <= 0:
             raise ConfigurationError("dt must be positive")
-        if self.curve not in ("hilbert", "morton"):
-            raise ConfigurationError("curve must be 'hilbert' or 'morton'")
-        if self.multipole_order not in (1, 2):
-            raise ConfigurationError("multipole_order must be 1 or 2")
-        if not isinstance(self.tree_reuse_steps, int) or self.tree_reuse_steps < 1:
-            raise ConfigurationError("tree_reuse_steps must be an integer >= 1")
-        if self.tree_update not in TREE_UPDATE_MODES:
-            raise ConfigurationError(
-                f"tree_update must be one of {TREE_UPDATE_MODES}, got {self.tree_update!r}"
-            )
-        if self.tree_update != "rebuild":
-            if self.algorithm not in ("octree", "bvh", "octree-2stage"):
-                raise ConfigurationError(
-                    f"tree_update={self.tree_update!r} requires a tree algorithm; "
-                    f"got {self.algorithm!r}"
-                )
-            if self.tree_reuse_steps != 1:
-                raise ConfigurationError(
-                    "tree_update refit/auto supersedes tree_reuse_steps; "
-                    "leave tree_reuse_steps at 1"
-                )
         if not (isinstance(self.drift_budget, (int, float)) and self.drift_budget > 0):
             raise ConfigurationError("drift_budget must be a positive number")
         if not (isinstance(self.refit_disorder_threshold, (int, float))
@@ -186,41 +194,30 @@ class SimulationConfig:
             raise ConfigurationError(
                 "refit_disorder_threshold must be in [0, 1]"
             )
-        if self.traversal not in TRAVERSALS:
-            raise ConfigurationError(
-                f"traversal must be one of {TRAVERSALS}, got {self.traversal!r}"
-            )
-        if not isinstance(self.group_size, int) or self.group_size < 1:
-            raise ConfigurationError("group_size must be an integer >= 1")
-        if self.eval_mode not in EVAL_MODES:
-            raise ConfigurationError(
-                f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}"
-            )
         if not (isinstance(self.cc_mac, (int, float)) and self.cc_mac >= 0):
             raise ConfigurationError("cc_mac must be a non-negative number")
-        if self.expansion_order not in (0, 1, 2):
-            raise ConfigurationError("expansion_order must be 0, 1 or 2")
         if self.simt_width < 1:
             raise ConfigurationError("simt_width must be >= 1")
-        if not isinstance(self.ranks, int) or self.ranks < 1:
-            raise ConfigurationError("ranks must be an integer >= 1")
-        if self.decomposition not in ("static", "weighted"):
+        for name, low in (("tree_reuse_steps", 1), ("group_size", 1),
+                          ("ranks", 1), ("rebalance_steps", 1),
+                          ("ranks_per_node", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}")
+        # Cross-field rules.  Maintenance and distribution both keep a
+        # tree; tree reuse is the single-rank rebuild mode's cadence.
+        keeps_tree = self.tree_update != "rebuild" or self.ranks > 1
+        if keeps_tree and self.algorithm not in TREE_ALGORITHMS:
             raise ConfigurationError(
-                "decomposition must be 'static' or 'weighted'"
-            )
-        if not isinstance(self.rebalance_steps, int) or self.rebalance_steps < 1:
-            raise ConfigurationError("rebalance_steps must be an integer >= 1")
-        if not isinstance(self.ranks_per_node, int) or self.ranks_per_node < 0:
-            raise ConfigurationError("ranks_per_node must be an integer >= 0")
-        if self.ranks > 1 and self.tree_reuse_steps != 1:
-            raise ConfigurationError(
-                "tree_reuse_steps > 1 requires ranks=1; the distributed "
-                "runtime keeps trees only under tree_update refit/auto"
-            )
-        if self.ranks > 1 and self.algorithm not in ("octree", "bvh"):
-            raise ConfigurationError(
-                "ranks > 1 requires a tree algorithm ('octree' or 'bvh'); "
+                f"tree_update={self.tree_update!r} with ranks={self.ranks} "
+                f"requires a tree algorithm {TREE_ALGORITHMS}; "
                 f"got {self.algorithm!r}"
+            )
+        if keeps_tree and self.tree_reuse_steps != 1:
+            raise ConfigurationError(
+                "tree_reuse_steps > 1 requires tree_update='rebuild' and "
+                "ranks=1 (refit/auto supersede it; the distributed runtime "
+                "keeps trees only under refit/auto)"
             )
 
     def with_(self, **kw) -> "SimulationConfig":

@@ -158,6 +158,6 @@ def remote_accelerations(
         traversal="grouped" if lockstep else config.traversal,
         theta=config.theta, group_size=1 if lockstep else config.group_size,
         cc_mac=config.cc_mac, expansion_order=config.expansion_order,
-        ctx=ctx, simt_width=config.simt_width, eval_mode=config.eval_mode,
+        ctx=ctx, eval_mode=config.eval_mode,
         targets=x_dst, launches=launches,
     )

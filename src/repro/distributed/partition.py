@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, compute_bounding_box, cubify, quantize_to_grid
-from repro.geometry.hilbert import hilbert_encode
+from repro.core.config import LEGAL_VALUES
+from repro.geometry.aabb import AABB, compute_bounding_box, cubify
+from repro.geometry.hilbert import curve_keys
 from repro.geometry.morton import max_bits
 from repro.types import FLOAT, INDEX
 
-DECOMPOSITION_MODES = ("static", "weighted")
+DECOMPOSITION_MODES = LEGAL_VALUES["decomposition"]
 
 
 def hilbert_keys(x: np.ndarray, box: AABB, *, bits: int | None = None) -> np.ndarray:
@@ -35,7 +36,7 @@ def hilbert_keys(x: np.ndarray, box: AABB, *, bits: int | None = None) -> np.nda
         bits = max_bits(dim)
     if n == 0:
         return np.zeros(0, dtype=np.uint64)
-    return hilbert_encode(quantize_to_grid(x, cubify(box), bits), bits)
+    return curve_keys(x, cubify(box), bits)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from repro.distributed.let import (
     remote_accelerations,
 )
 from repro.distributed.partition import DomainDecomposition, decompose
-from repro.errors import ConfigurationError
 from repro.geometry.aabb import compute_bounding_box, cubify
 from repro.geometry.morton import max_bits
 from repro.machine.costmodel import CostModel
@@ -99,11 +98,6 @@ class DistributedRuntime:
     """Runs the distributed pipeline for ``config.ranks`` simulated ranks."""
 
     def __init__(self, config, ctx: ExecutionContext):
-        if config.algorithm not in ("octree", "bvh"):
-            raise ConfigurationError(
-                f"ranks > 1 requires a tree algorithm (octree or bvh), "
-                f"got {config.algorithm!r}"
-            )
         self.config = config
         self.ctx = ctx
         #: The tree algorithm whose hooks build, refit and evaluate the

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.aabb import AABB, quantize_to_grid
-from repro.geometry.hilbert import hilbert_encode
-from repro.geometry.morton import morton_encode
+from repro.geometry.aabb import AABB
+from repro.geometry.hilbert import curve_keys
 from repro.types import FLOAT
 
 
@@ -65,19 +64,7 @@ class KeyCache:
             self.hits += 1
             return cached
         self.misses += 1
-        grid = quantize_to_grid(x, box, bits)
-        if curve == "hilbert":
-            keys = hilbert_encode(grid, bits)
-        elif curve == "morton":
-            keys = morton_encode(grid, bits)
-        else:
-            raise ValueError(f"unknown curve {curve!r}")
-        if ctx is not None:
-            # Same charge the inline encode in hilbert_sort_permutation
-            # makes: ~bits*dim bit-ops per body.
-            ctx.counters.add(flops=float(n * bits * dim),
-                             bytes_read=8.0 * n * dim,
-                             bytes_written=8.0 * n)
+        keys = curve_keys(x, box, bits, curve=curve, ctx=ctx)
         self._entries[fp] = keys
         while len(self._entries) > self.max_entries:
             self._entries.pop(next(iter(self._entries)))

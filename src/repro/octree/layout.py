@@ -173,10 +173,6 @@ class OctreePool:
             setattr(self, name, np.concatenate((a, pad)))
         self.capacity = cap
 
-    def group_of(self, node) -> np.ndarray | int:
-        """Sibling-group id of a non-root node."""
-        return (np.asarray(node) - 1) // self.nchild
-
     def parent_of(self, node) -> np.ndarray | int:
         """Parent node index (root maps to -1)."""
         node = np.asarray(node)

@@ -21,6 +21,7 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.octree.layout import OctreePool, decode_body, is_body_token
+from repro.physics.multipole import check_multipole_order
 from repro.stdpar.atomics import AtomicArray, acq_rel, relaxed
 from repro.stdpar.context import ExecutionContext
 from repro.stdpar.kernel import kernel_from_functions
@@ -131,7 +132,7 @@ def compute_multipoles_concurrent(
     order: int = 1,
 ) -> None:
     """Faithful wait-free reduction on the virtual-thread scheduler."""
-    _check_order(pool, order)
+    check_multipole_order(order, pool.dim)
     if ctx is None:
         ctx = ExecutionContext(backend="reference")
     n = pool.n_nodes
@@ -191,13 +192,6 @@ def _reduce_quadrupoles_vectorized(pool: OctreePool) -> None:
         )
 
 
-def _check_order(pool: OctreePool, order: int) -> None:
-    if order not in (1, 2):
-        raise ValueError(f"multipole order must be 1 or 2, got {order}")
-    if order == 2 and pool.dim != 3:
-        raise ValueError("quadrupole moments are 3-D only")
-
-
 def compute_multipoles_vectorized(
     pool: OctreePool,
     x: np.ndarray,
@@ -215,7 +209,7 @@ def compute_multipoles_vectorized(
     level-synchronous reduction (the two-stage/Thüring-style pipeline,
     analogous to the BVH's fused pass).
     """
-    _check_order(pool, order)
+    check_multipole_order(order, pool.dim)
     if account not in ("waitfree", "levelwise"):
         raise ValueError(f"unknown accounting mode {account!r}")
     n = pool.n_nodes

@@ -27,11 +27,24 @@ import numpy as np
 
 from repro.types import FLOAT
 
+#: Legal multipole expansion orders: 1 = monopole, 2 = + quadrupole.
+MULTIPOLE_ORDERS = (1, 2)
+
 #: Extra FP64 work of one quadrupole interaction beyond the monopole
 #: (tensor contraction + two extra powers of 1/r), for cost accounting.
 QUAD_EXTRA_FLOPS = 36.0
 #: Extra node bytes per visit (6 unique tensor components stored as 9).
 QUAD_EXTRA_BYTES = 72.0
+
+
+def check_multipole_order(order: int, dim: int) -> None:
+    """Raise ``ValueError`` unless the tree builders can compute moments
+    of *order* in *dim* dimensions."""
+    if order not in MULTIPOLE_ORDERS:
+        raise ValueError(f"multipole order must be one of {MULTIPOLE_ORDERS}, "
+                         f"got {order}")
+    if order == 2 and dim != 3:
+        raise ValueError("quadrupole moments are 3-D only")
 
 
 def quadrupole_of_points(x: np.ndarray, m: np.ndarray, com: np.ndarray) -> np.ndarray:
@@ -42,29 +55,6 @@ def quadrupole_of_points(x: np.ndarray, m: np.ndarray, com: np.ndarray) -> np.nd
     r2 = np.einsum("bi,bi->b", d, d)
     outer = np.einsum("b,bi,bj->ij", m, d, d)
     return 3.0 * outer - np.einsum("b,b->", m, r2) * np.eye(x.shape[1])
-
-
-def shift_quadrupole(
-    q_child: np.ndarray,
-    mass_child: np.ndarray,
-    com_child: np.ndarray,
-    com_parent: np.ndarray,
-) -> np.ndarray:
-    """Parallel-axis shift: children's quadrupoles re-expressed about the
-    parent's centre of mass, summed.
-
-    Vectorized over a leading children axis: ``q_child (K, 3, 3)``,
-    ``mass_child (K,)``, ``com_child (K, 3)``, ``com_parent (3,)`` or
-    ``(K, 3)`` → ``(3, 3)`` if parent is a single com, else summed over
-    the *last* grouping by the caller.
-    """
-    s = com_child - com_parent
-    s2 = np.einsum("...i,...i->...", s, s)
-    eye = np.eye(s.shape[-1])
-    shift = 3.0 * np.einsum("...,...i,...j->...ij", mass_child, s, s) - np.einsum(
-        "...,...->...", mass_child, s2
-    )[..., None, None] * eye
-    return (q_child + shift).sum(axis=0) if q_child.ndim == 3 else q_child + shift
 
 
 def combine_quadrupoles(

@@ -130,10 +130,6 @@ class Occupancy:
     def total_active(self) -> int:
         return sum(self.active_by_tenant.values())
 
-    @property
-    def total_backlog(self) -> float:
-        return sum(self.backlog_by_tenant.values())
-
     def tenants_with_work(self, plus: str) -> set:
         out = {t for t, k in self.active_by_tenant.items() if k > 0}
         out.add(plus)

@@ -42,6 +42,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.maintenance.policy import MaintenancePolicy
+
 #: Config fields that cannot influence any cached structure, list, or
 #: per-epoch precompute: integration step size, accounting-only widths,
 #: and the distributed-fabric parameters (sharing requires ranks=1).
@@ -132,11 +134,7 @@ class SharedStructureCache:
     @staticmethod
     def supports(config) -> bool:
         """Sharing is exact only for stateless-across-steps configs."""
-        return (
-            config.tree_update == "rebuild"
-            and config.tree_reuse_steps == 1
-            and config.ranks == 1
-        )
+        return MaintenancePolicy.mode_for(config) == "rebuild" and config.ranks == 1
 
     def _key(self, struct_key: str, config, system) -> tuple:
         return (

@@ -97,10 +97,6 @@ class SessionSpec:
             ) from None
         return gen(self.n, seed=self.seed)
 
-    def describe(self) -> str:
-        return (f"{self.tenant}/{self.name}: {self.workload} n={self.n} "
-                f"steps={self.steps} seed={self.seed}")
-
 
 class Session:
     """Lifecycle + cost accounting of one hosted simulation."""

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.aabb import quantize_to_grid
-from repro.geometry.hilbert import hilbert_encode
+from repro.geometry.hilbert import curve_keys
 from repro.geometry.morton import max_bits
 from repro.physics.gravity import GravityParams
 from repro.traversal.dual import (
@@ -48,9 +47,7 @@ _FOREIGN_BODY_ID = INDEX(-2)
 
 def hilbert_body_order(x: np.ndarray, box) -> np.ndarray:
     """Hilbert-curve permutation of bodies the tree leaves unsorted."""
-    bits = max_bits(x.shape[1])
-    keys = hilbert_encode(quantize_to_grid(x, box, bits), bits)
-    return np.argsort(keys, kind="stable")
+    return np.argsort(curve_keys(x, box, max_bits(x.shape[1])), kind="stable")
 
 
 def tree_accelerations(
@@ -65,7 +62,6 @@ def tree_accelerations(
     cc_mac: float = 1.5,
     expansion_order: int = 2,
     ctx=None,
-    simt_width: int = 32,
     cache: dict | None = None,
     eval_mode: str = "auto",
     mac_margin: float = 0.0,
@@ -180,7 +176,7 @@ def tree_accelerations(
 
     if ctx is not None:
         common = dict(
-            n_bodies=n, dim=dim, simt_width=simt_width,
+            n_bodies=n, dim=dim,
             pairs=pairs, quad_terms=stats["quad_terms"],
             visit_bytes=view.visit_bytes, built=built,
             flops_per_visit=view.flops_per_visit,

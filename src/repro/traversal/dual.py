@@ -416,7 +416,6 @@ def account_dual_force(
     *,
     n_bodies: int,
     dim: int,
-    simt_width: int,
     pairs: int,
     quad_terms: int = 0,
     quad_far: int = 0,
@@ -441,7 +440,7 @@ def account_dual_force(
     """
     account_grouped_force(
         counters, dual.near, groups,
-        n_bodies=n_bodies, dim=dim, simt_width=simt_width,
+        n_bodies=n_bodies, dim=dim,
         pairs=pairs, quad_terms=quad_terms, visit_bytes=visit_bytes,
         built=built, flops_per_visit=flops_per_visit,
         sort_comparisons=sort_comparisons, launches=launches,

@@ -387,7 +387,6 @@ def account_grouped_force(
     *,
     n_bodies: int,
     dim: int,
-    simt_width: int,
     pairs: int,
     quad_terms: int = 0,
     visit_bytes: float = 50.0,

@@ -24,6 +24,19 @@ class TestCLI:
         assert rc == 0
         assert "sort" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--algorithm", "all-pairs", "--ranks", "2"],
+        ["--algorithm", "all-pairs-col", "--tree-update", "refit"],
+        ["--ranks", "0"],
+    ])
+    def test_illegal_config_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--n", "50", "--steps", "1", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("repro-nbody run: error: ")
+
     def test_triad(self, capsys):
         assert main(["triad", "--elements", str(2**18)]) == 0
         out = capsys.readouterr().out

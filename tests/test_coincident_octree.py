@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
-from repro.errors import ConfigurationError
 from repro.octree.build_concurrent import build_octree_concurrent
 from repro.octree.build_vectorized import build_octree_vectorized
 from repro.octree.layout import OctreePool
@@ -65,10 +64,6 @@ def test_forces_match_all_pairs(name, algorithm, traversal, ranks):
     x, m = INPUTS[name]()
     kw = dict(algorithm=algorithm, traversal=traversal, ranks=ranks,
               group_size=8)
-    if algorithm == "octree-2stage" and ranks > 1:
-        with pytest.raises(ConfigurationError):  # refused at the boundary
-            SimulationConfig(**kw)
-        return
     cfg = SimulationConfig(**kw)
     system = BodySystem(x.copy(), np.zeros_like(x), m.copy())
     acc = Simulation(system, cfg).evaluate_forces()

@@ -36,7 +36,7 @@ from repro.physics.accuracy import relative_l2_error
 from repro.physics.bodies import BodySystem
 from repro.physics.gravity import GravityParams, pairwise_accelerations
 from repro.traversal.engine import build_interaction_lists
-from repro.workloads import galaxy_collision
+from repro.workloads import galaxy_collision, plummer_sphere
 
 
 def _system(n=600, seed=3) -> BodySystem:
@@ -284,6 +284,37 @@ class TestRuntimeForces:
         Simulation(sysB, SimulationConfig(algorithm="bvh", ranks=4,
                                           rebalance_steps=2)).run(5)
         assert relative_l2_error(sysB.x, sysA.x) < 1e-2
+
+    @pytest.mark.parametrize("tree_update", ["rebuild", "refit"])
+    @pytest.mark.parametrize("traversal", ["lockstep", "grouped", "dual"])
+    def test_twostage_trajectory_is_octree(self, traversal, tree_update):
+        """The two-stage builder makes the octree's tree, so its
+        distributed trajectory is the octree's bit for bit."""
+        x = {}
+        for alg in ("octree", "octree-2stage"):
+            s = plummer_sphere(600, seed=1)
+            Simulation(s, SimulationConfig(
+                algorithm=alg, ranks=2, traversal=traversal,
+                tree_update=tree_update)).run(3)
+            x[alg] = s.x
+        assert np.array_equal(x["octree"], x["octree-2stage"])
+
+    def test_auto_is_refit(self):
+        """At ranks > 1 the runtime's one refit-or-rebuild decision
+        compares against the fixed refit_disorder_threshold and never
+        consults the cost model: "auto" runs exactly as "refit"."""
+        runs = {}
+        for mode in ("refit", "auto"):
+            s = galaxy_collision(1500, seed=0)
+            sim = Simulation(s, SimulationConfig(
+                algorithm="bvh", traversal="grouped", ranks=2, dt=5e-3,
+                tree_update=mode))
+            sim.run(12)
+            runs[mode] = s, sim.distributed.maint_counts
+        (a, counts_a), (b, counts_b) = runs["refit"], runs["auto"]
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
+        # Both branches of the decision are taken.
+        assert counts_a == counts_b == {"rebuild": 11, "refit": 2}
 
 
 # ----------------------------------------------------------------------

@@ -133,7 +133,7 @@ def _reference_halo_force(view, x_src, m_src, x_dst, cfg, counters,
     )
     common = dict(
         n_bodies=x_dst.shape[0], dim=x_dst.shape[1],
-        simt_width=cfg.simt_width, pairs=st.pairs, quad_terms=st.quad_terms,
+        pairs=st.pairs, quad_terms=st.quad_terms,
         visit_bytes=view.visit_bytes, built=True,
         flops_per_visit=view.flops_per_visit, launches=launches,
         flat_launches=st.flat_launches,
