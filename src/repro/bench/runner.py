@@ -9,7 +9,6 @@ import numpy as np
 from repro.bench.extrapolate import extrapolate_counters
 from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
-from repro.errors import ForwardProgressError
 from repro.machine.costmodel import CostModel
 from repro.machine.counters import StepCounters
 from repro.machine.device import Device

@@ -21,7 +21,7 @@ scattered back at the end); this changes nothing observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -27,7 +27,7 @@ from repro.geometry.aabb import AABB, compute_bounding_box
 from repro.physics.bodies import BodySystem
 from repro.stdpar.algorithms import transform_reduce
 from repro.stdpar.context import ExecutionContext
-from repro.stdpar.policy import par, par_unseq
+from repro.stdpar.policy import par_unseq
 from repro.stdpar.progress import ForwardProgress
 
 

@@ -138,7 +138,8 @@ class SimulationConfig:
     #: source passes the conservative MAC *and* the target box satisfies
     #: ``size_t < theta * cc_mac * dmin``; larger values retire more
     #: pairs per M2L at more Taylor-truncation error, ``0`` disables the
-    #: cell-cell branch entirely (bit-identical to ``"grouped"``).
+    #: cell-cell branch entirely: the run *is* ``"grouped"`` (same cache
+    #: key, forces, counters and so trajectories, ``"auto"`` included).
     cc_mac: float = 1.5
     #: Dual traversal only: order of the local (Taylor) expansion the
     #: downsweep carries — 0 = cell-centre force only, 1 = + Jacobian,

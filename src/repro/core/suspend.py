@@ -70,12 +70,9 @@ def capture_runtime_state(sim) -> dict | None:
             cached = maint.entry.get(key)
             if cached is None or cached.get("lists") is not cached_lists:
                 continue  # dropped after its last snapshot: nothing live
-            margin = (float(cached["dual"].mac_margin)
-                      if key[0] == "dlists"
-                      else float(cached["lists"].mac_margin))
             lists.append({
                 "key": list(key),
-                "margin": margin,
+                "margin": float(cached_lists.mac_margin),
                 "x": np.asarray(snap_x, dtype=FLOAT),
             })
         state["maint"] = {

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import pathlib
 from typing import Any
 
 import numpy as np

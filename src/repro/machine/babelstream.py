@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.catalog import DEVICES, HOST
+from repro.machine.catalog import DEVICES
 from repro.machine.costmodel import CostModel
 from repro.machine.counters import StepCounters
 from repro.machine.device import Device

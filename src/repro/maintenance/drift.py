@@ -113,16 +113,30 @@ def lists_valid(
 
     Checks every *approx* entry against the list's build margin (exact
     entries enumerate real bodies, whose contributions are evaluated at
-    current positions regardless of drift).
+    current positions regardless of drift).  A dual walk's far pairs
+    stay valid while the margin absorbs (a) the source's centre-of-mass
+    motion and size growth (``size_factor``, as for the entries) and
+    (b) the target side: bodies drifting under the cached target box
+    both shrink ``dmin`` and effectively grow the box by twice the
+    drift, which costs ``2 / (theta * cc_mac)`` against the cell-cell
+    threshold.  Target drift is the group drift's max over each
+    target-tree subtree, the BVH sweep over the target tree's layout.
     """
     margin = float(lists.mac_margin)
     approx = lists.approx
-    if not approx.any():
+    if approx.any():
+        entry_group = np.repeat(
+            np.arange(lists.offsets.shape[0] - 1), np.diff(lists.offsets)
+        )
+        g = entry_group[approx]
+        v = lists.nodes[approx]
+        slack = grp_drift[g] + node_drift[v] * (1.0 + size_factor)
+        if not np.all(slack <= margin):
+            return False
+    if lists.n_far == 0:
         return True
-    entry_group = np.repeat(
-        np.arange(lists.offsets.shape[0] - 1), np.diff(lists.offsets)
-    )
-    g = entry_group[approx]
-    v = lists.nodes[approx]
-    slack = grp_drift[g] + node_drift[v] * (1.0 + size_factor)
+    tdrift = bvh_node_drift(lists.tt.layout, grp_drift)
+    t_factor = 1.0 + 2.0 / (lists.theta * lists.cc_mac)
+    slack = (tdrift[lists.far_t] * t_factor
+             + node_drift[lists.far_s] * (1.0 + size_factor))
     return bool(np.all(slack <= margin))

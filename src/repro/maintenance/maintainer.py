@@ -81,8 +81,8 @@ class TreeMaintainer:
             config.refit_disorder_threshold, cadence=config.tree_reuse_steps)
         self._model = CostModel(ctx.device, toolchain=ctx.toolchain)
         #: Structure-cache entry dict handed to the grouped/dual force
-        #: driver (it stores interaction lists in it under the
-        #: ``ilists`` / ``dlists`` keys).
+        #: driver (it stores interaction lists in it under tuple keys
+        #: ``("lists", theta, group_size, cc_mac)``).
         self.entry: dict = {}
         #: Maintenance event counts, exposed through ``--profile``.
         self.counts = {"rebuild": 0, "refit": 0, "lists_dropped": 0}
@@ -100,7 +100,7 @@ class TreeMaintainer:
         self._x_prev: np.ndarray | None = None
         self._step_drift = 0.0
         self._budget_abs = 0.0
-        self._list_state: dict = {}  # ilists key -> (lists, x snapshot)
+        self._list_state: dict = {}  # lists key -> (lists, x snapshot)
         self._snap: dict | None = None
 
     @property
@@ -229,8 +229,7 @@ class TreeMaintainer:
         """Record positions *x* as the build snapshot of every cached
         list built since the last call."""
         for key, cached in self.entry.items():
-            if not (isinstance(key, tuple) and key
-                    and key[0] in ("ilists", "dlists")):
+            if not isinstance(key, tuple):
                 continue
             state = self._list_state.get(key)
             if state is None or state[0] is not cached["lists"]:
@@ -313,9 +312,7 @@ class TreeMaintainer:
         *growth* is the tree's MAC-extent growth per unit node drift
         under refit (``hooks.refit_growth(theta)``)."""
         n, dim = x.shape
-        for key in [k for k in self.entry
-                    if isinstance(k, tuple) and k
-                    and k[0] in ("ilists", "dlists")]:
+        for key in [k for k in self.entry if isinstance(k, tuple)]:
             cached = self.entry[key]
             state = self._list_state.get(key)
             if state is None or state[0] is not cached["lists"]:
@@ -329,20 +326,13 @@ class TreeMaintainer:
                     rows = disp[cached["perm"]]
                     node_drift = octree_node_drift(self._pool, disp)
                 grp = group_drift(cached["groups"].offsets, rows)
-                nf = 0
+                lists = cached["lists"]
                 with np.errstate(invalid="ignore"):
-                    if key[0] == "dlists":
-                        from repro.traversal.dual import dual_lists_valid
-
-                        ok = dual_lists_valid(cached["dual"], grp,
-                                              node_drift,
-                                              size_factor=growth)
-                        nf = cached["dual"].n_far
-                    else:
-                        ok = lists_valid(cached["lists"], grp, node_drift,
-                                         size_factor=growth)
+                    ok = lists_valid(lists, grp, node_drift,
+                                     size_factor=growth)
                 nn = node_drift.shape[0]
-                ne = cached["lists"].nodes.shape[0]
+                ne = lists.n_entries
+                nf = lists.n_far
                 self.ctx.counters.add(
                     flops=(3.0 * dim + 1.0) * n + 2.0 * nn + 3.0 * (ne + nf),
                     bytes_read=8.0 * (n * dim + nn + 2.0 * (ne + nf)),

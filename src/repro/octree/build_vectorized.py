@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.geometry.aabb import AABB, compute_bounding_box, quantize_to_grid
 from repro.geometry.morton import max_bits, morton_encode
-from repro.octree.layout import EMPTY, OctreePool, encode_body
+from repro.octree.layout import OctreePool, encode_body
 from repro.types import INDEX
 
 

@@ -20,7 +20,7 @@ from typing import Any, Generator
 
 import numpy as np
 
-from repro.octree.layout import OctreePool, decode_body, is_body_token
+from repro.octree.layout import OctreePool
 from repro.physics.multipole import check_multipole_order
 from repro.stdpar.atomics import AtomicArray, acq_rel, relaxed
 from repro.stdpar.context import ExecutionContext

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.octree.layout import OctreePool, is_body_token, decode_body
+from repro.octree.layout import OctreePool
 from repro.types import INDEX
 
 #: Escape value meaning "traversal finished".

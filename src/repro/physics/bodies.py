@@ -8,11 +8,11 @@ vectorization-friendly layout for the Python kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.types import FLOAT, validate_masses, validate_positions
+from repro.types import validate_masses, validate_positions
 
 
 @dataclass

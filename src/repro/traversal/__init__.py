@@ -12,17 +12,18 @@ both tree strategies (octree and Hilbert BVH):
   walk (every body in SIMT lockstep) with a pluggable pairwise kernel;
 * :mod:`repro.traversal.groups` — Hilbert-contiguous body grouping and
   per-group AABBs;
-* :mod:`repro.traversal.engine` — the generic list-building walk
+* :mod:`repro.traversal.engine` — the list type, the list-build entry
   (conservative group MAC), the reference tile evaluator, and the
-  grouped counter accounting;
+  one grouped/dual counter accounting;
 * :mod:`repro.traversal.flat` — the batch evaluator: lists prepared
   once per epoch as rectangle blocks, evaluated in dense BLAS batches,
   with the symmetric near field deduped Newton's-third-law style (the
   production host path); without the dedup it is ``eval_mode="gemm"``;
-* :mod:`repro.traversal.dual` — the dual-tree cell-cell walk: a target
-  tree over the groups, a symmetric MAC that retires well-separated
-  cell pairs once via M2L into local expansions, and the L2L/L2P
-  downsweep that carries them to bodies;
+* :mod:`repro.traversal.dual` — the one list walk, over a target tree
+  of the groups: its cell-cell branch (``cc_mac > 0``) retires
+  well-separated cell pairs once via M2L into local expansions, and
+  the L2L/L2P downsweep carries them to bodies; at ``cc_mac = 0`` it
+  is the grouped walk;
 * :mod:`repro.traversal.driver` — the one grouped/dual force driver
   over a :class:`TreeView`, shared by every tree and by the core,
   distributed and checkpoint-replay paths.
@@ -62,12 +63,9 @@ from repro.traversal.groups import BodyGroups, make_groups
 # Imported last: dual pulls in the BVH layout, whose package init needs
 # repro.traversal.engine to already be importable.
 from repro.traversal.dual import (  # noqa: E402
-    DualLists,
     TargetTree,
-    account_dual_force,
     build_dual_lists,
     build_target_tree,
-    dual_lists_valid,
     evaluate_dual,
 )
 from repro.traversal.driver import (  # noqa: E402
@@ -77,7 +75,6 @@ from repro.traversal.driver import (  # noqa: E402
 
 __all__ = [
     "BodyGroups",
-    "DualLists",
     "FlatLists",
     "GravityKernel",
     "InteractionKernel",
@@ -88,14 +85,12 @@ __all__ = [
     "KLASS_INTERNAL",
     "KLASS_POINT",
     "KLASS_SKIP",
-    "account_dual_force",
     "account_grouped_force",
     "account_lockstep_force",
     "build_dual_lists",
     "build_flat_lists",
     "build_interaction_lists",
     "build_target_tree",
-    "dual_lists_valid",
     "evaluate_dual",
     "evaluate_flat",
     "evaluate_interaction_lists",

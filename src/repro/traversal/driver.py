@@ -19,17 +19,11 @@ import numpy as np
 from repro.geometry.hilbert import curve_keys
 from repro.geometry.morton import max_bits
 from repro.physics.gravity import GravityParams
-from repro.traversal.dual import (
-    account_dual_force,
-    build_dual_lists,
-    build_target_tree,
-    evaluate_dual,
-)
+from repro.traversal.dual import evaluate_dual
 from repro.traversal.engine import (
     TreeView,
     account_grouped_force,
     build_interaction_lists,
-    evaluate_interaction_lists,
     resolve_eval_mode,
 )
 from repro.traversal.flat import build_flat_lists
@@ -72,12 +66,13 @@ def tree_accelerations(
 
     Bodies are put in curve order (``view.body_order``, or a Hilbert
     sort over ``view.box``) and partitioned into contiguous groups of
-    *group_size*.  ``traversal="grouped"`` walks the tree once per group
-    with the conservative group MAC and evaluates the emitted
-    interaction lists as dense tiles; ``"dual"`` organizes the groups
-    into a target tree and classifies them against the source tree by
-    the simultaneous walk of :mod:`repro.traversal.dual`, retiring
-    well-separated cell pairs once via M2L + downsweep.
+    *group_size*.  The groups are classified against the source tree
+    by the one list walk of :mod:`repro.traversal.dual`, the emitted
+    interaction lists evaluated as dense tiles.  ``traversal="dual"``
+    turns the walk's cell-cell branch on (*cc_mac*), retiring
+    well-separated cell pairs once via M2L + downsweep;
+    ``"grouped"`` is the same walk, evaluation and charge at
+    ``cc_mac=0``.
 
     *cache*, when given, is the structure-cache entry dict: the lists,
     the body order and the evaluator precomputes are stored in it and
@@ -94,7 +89,7 @@ def tree_accelerations(
 
     At ``group_size=1`` (monopole order) the grouped result is
     bit-identical to the lockstep walk, and ``cc_mac=0`` makes the
-    dual result bit-identical to the grouped one.
+    dual run the grouped one: same cache key, forces and counters.
     """
     x = np.asarray(x, dtype=FLOAT)
     foreign = targets is not None
@@ -103,10 +98,8 @@ def tree_accelerations(
     if n == 0 or view.mass.shape[0] == 0:
         return np.zeros((n, dim), dtype=FLOAT)
 
-    dual = traversal == "dual"
-    key = (("dlists", float(theta), int(group_size), float(cc_mac),
-            int(expansion_order)) if dual
-           else ("ilists", float(theta), int(group_size)))
+    cc = float(cc_mac) if traversal == "dual" else 0.0
+    key = ("lists", float(theta), int(group_size), cc)
     cached = cache.get(key) if cache is not None else None
     built = cached is None or cached["groups"].n_bodies != n
     sorts = not foreign and view.body_order is None
@@ -116,17 +109,9 @@ def tree_accelerations(
         else:
             perm = hilbert_body_order(x, view.box) if sorts else view.body_order
         groups = make_groups(xt if foreign else x[perm], group_size)
-        cached = {"perm": perm, "groups": groups}
-        if dual:
-            cached["dual"] = build_dual_lists(
-                view, build_target_tree(groups), theta, cc_mac=cc_mac,
-                mac_margin=mac_margin)
-            # "lists" aliases the near side so the maintenance snapshot /
-            # drift gate sees the same shape as a grouped entry.
-            cached["lists"] = cached["dual"].near
-        else:
-            cached["lists"] = build_interaction_lists(
-                view, groups, theta, mac_margin=mac_margin)
+        cached = {"perm": perm, "groups": groups,
+                  "lists": build_interaction_lists(
+                      view, groups, theta, cc_mac=cc, mac_margin=mac_margin)}
         if cache is not None:
             cache[key] = cached
     perm = cached["perm"]
@@ -152,15 +137,10 @@ def tree_accelerations(
                 exact_bodies=view.exact_bodies, n3l=mode == "flat")
 
     m_sorted = None if foreign else np.asarray(m, dtype=FLOAT)[perm]
-    kw = dict(G=params.G, eps2=params.eps2, body_ids=body_ids, mode=mode,
-              flat=flat, m_sorted=m_sorted)
-    if dual:
-        acc_s, stats = evaluate_dual(view, cached["dual"], groups, x_sorted,
-                                     expansion_order=expansion_order,
-                                     ctx=ctx, **kw)
-    else:
-        acc_s, stats = evaluate_interaction_lists(view, lists, groups,
-                                                  x_sorted, **kw)
+    acc_s, stats = evaluate_dual(
+        view, lists, groups, x_sorted, G=params.G, eps2=params.eps2,
+        body_ids=body_ids, mode=mode, flat=flat, m_sorted=m_sorted,
+        expansion_order=expansion_order, ctx=ctx)
 
     # Exact expansion of bucket leaves: the lockstep walk's routine.
     pairs = stats["pairs"]
@@ -175,9 +155,11 @@ def tree_accelerations(
                                       x_sorted[row], x, m, acc_s, row)
 
     if ctx is not None:
-        common = dict(
+        account_grouped_force(
+            ctx.counters, lists, groups,
             n_bodies=n, dim=dim,
             pairs=pairs, quad_terms=stats["quad_terms"],
+            quad_far=stats["quad_far"], expansion_order=expansion_order,
             visit_bytes=view.visit_bytes, built=built,
             flops_per_visit=view.flops_per_visit,
             sort_comparisons=(float(n) * float(np.log2(max(n, 2)))
@@ -187,12 +169,6 @@ def tree_accelerations(
             near_pairs_evaluated=stats["near_pairs_evaluated"],
             launches=launches,
         )
-        if dual:
-            account_dual_force(ctx.counters, cached["dual"], groups,
-                               quad_far=stats["quad_far"],
-                               expansion_order=expansion_order, **common)
-        else:
-            account_grouped_force(ctx.counters, lists, groups, **common)
 
     if foreign:
         return acc_s

@@ -33,7 +33,9 @@ split the **target**, never the source":
    no source is ever split above a leaf target, so the walk is one
    source walk per group, started at the group's leaf target.  That is
    the grouped build itself, so the emitted lists — hence the forces —
-   are bit-identical to ``traversal="grouped"`` by construction.
+   are bit-identical to ``traversal="grouped"`` by construction, and so
+   is every charged counter (the grouped traversal *is* this walk at
+   ``cc_mac = 0``: one list type, one evaluation, one charge).
 2. **LET superset** — the walk only opens a source node that fails the
    conservative MAC against some target box, which is contained in the
    rank's domain box; failing the easier criterion implies failing the
@@ -43,10 +45,10 @@ split the **target**, never the source":
 
 Refit composability: both criteria are built against
 ``mac_threshold2(dmin2, theta2, mac_margin)`` — the drift-bounded MAC —
-so cached :class:`DualLists` remain provable supersets while the
-observed drift stays inside the margin; :func:`dual_lists_valid` is the
-gate (near lists via the grouped gate, far pairs via a target-subtree
-drift sweep).
+so cached lists remain provable supersets while the observed drift
+stays inside the margin; :func:`repro.maintenance.drift.lists_valid` is
+the gate (near entries per group, far pairs via a target-subtree drift
+sweep).
 """
 
 from __future__ import annotations
@@ -56,17 +58,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bvh.layout import BVHLayout, next_pow2
-from repro.machine.counters import Counters
 from repro.physics.local_expansion import (
     LocalExpansion,
-    expansion_words,
-    l2_flops,
     l2l_sweep,
     l2p_evaluate,
     m2l_accumulate,
-    m2l_flops,
 )
-from repro.physics.multipole import QUAD_EXTRA_BYTES, QUAD_EXTRA_FLOPS
 from repro.traversal.engine import (
     KLASS_EXACT,
     KLASS_INTERNAL,
@@ -75,7 +72,6 @@ from repro.traversal.engine import (
     InteractionLists,
     TreeView,
     aabb_dmin2,
-    account_grouped_force,
     evaluate_interaction_lists,
     mac_threshold2,
 )
@@ -139,25 +135,6 @@ def build_target_tree(groups: BodyGroups) -> TargetTree:
     return TargetTree(layout, lo, hi, center, side * side, count, ng)
 
 
-@dataclass
-class DualLists:
-    """Classified output of one dual walk (cacheable alongside ilists)."""
-
-    near: InteractionLists    # leaf-target emissions, grouped-engine CSR
-    far_t: np.ndarray         # (n_far,) target-tree node per far pair
-    far_s: np.ndarray         # (n_far,) source node per far pair
-    tt: TargetTree
-    theta: float
-    cc_mac: float
-    mac_margin: float
-    #: (target, source) MAC evaluations the walk performed.
-    mac_evals: int
-
-    @property
-    def n_far(self) -> int:
-        return int(self.far_t.shape[0])
-
-
 def build_dual_lists(
     view: TreeView,
     tt: TargetTree,
@@ -165,54 +142,36 @@ def build_dual_lists(
     *,
     cc_mac: float = 1.0,
     mac_margin: float = 0.0,
-) -> DualLists:
+) -> InteractionLists:
     """Simultaneous walk over (target node, source node) pairs.
 
     Far pairs retire into the M2L list, near-field decisions at leaf
     targets are emitted as per-group interaction lists, everything else
-    expands into the next frontier (see :func:`_pair_walk`).  Both MACs
-    share :func:`mac_threshold2`, so the drift margin inflates the
-    opening radius of near *and* far acceptance.
-    """
-    return _pair_walk(view, tt, theta, cc_mac, mac_margin)[0]
-
-
-def _pair_walk(
-    view: TreeView,
-    tt: TargetTree,
-    theta: float,
-    cc_mac: float,
-    mac_margin: float,
-) -> tuple[DualLists, np.ndarray]:
-    """The one list walk, shared by the dual and the grouped builds.
+    expands into the next frontier.  Both MACs share
+    :func:`mac_threshold2`, so the drift margin inflates the opening
+    radius of near *and* far acceptance.
 
     Level-synchronous: every round classifies all pending (target,
     source) pairs at once, so the Python loop runs depth-many rounds.
-    Empty (``KLASS_SKIP``) sources are dropped before the MAC; besides
-    the lists, the walk returns how many it met at each group's leaf
-    target, which :func:`repro.traversal.engine.build_interaction_lists`
-    adds to ``near.steps`` to charge the grouped walk's visits to them.
-
-    With the cell-cell branch off (``cc_mac = 0``) every pair above a
-    leaf target would split the target, so the walk starts at the
-    occupied leaf targets with the source root; the root-source tests
-    of that split-down are still counted in ``mac_evals``.
+    Empty (``KLASS_SKIP``) sources are dropped before the MAC; those met
+    at a group's leaf target still count in its ``steps``, as the
+    grouped walk's visits.  With the cell-cell branch off
+    (``cc_mac = 0``) every pair above a leaf target would split the
+    target, so the walk starts at the occupied leaf targets with the
+    source root.
     """
     empty_idx = np.empty(0, dtype=INDEX)
     ng = tt.n_groups
     theta2 = theta * theta
     cc2 = cc_mac * cc_mac
     steps = np.zeros(ng, dtype=np.int64)
-    skipped = np.zeros(ng, dtype=np.int64)
 
     if ng == 0 or view.klass.shape[0] == 0 or tt.count[0] == 0:
-        near = InteractionLists(
+        return InteractionLists(
             np.zeros(ng + 1, dtype=INDEX), empty_idx,
             np.empty(0, dtype=bool), empty_idx, empty_idx,
-            steps, theta, mac_margin,
+            steps, theta, mac_margin, tt=tt, cc_mac=cc_mac,
         )
-        return DualLists(near, empty_idx, empty_idx, tt,
-                         theta, cc_mac, mac_margin, 0), skipped
 
     klass = view.klass
     ssize2 = view.size2
@@ -233,13 +192,9 @@ def _pair_walk(
     far_t: list[np.ndarray] = []
     far_s: list[np.ndarray] = []
 
-    if cc_on:
-        T = np.zeros(1, dtype=INDEX)
-        mac_evals = 0
-    else:
-        T = fl + np.flatnonzero(tcount[fl:fl + ng] > 0).astype(INDEX)
-        mac_evals = (int(np.count_nonzero(tcount[:fl] > 0))
-                     if klass[0] != KLASS_SKIP else 0)
+    cell_evals = 0
+    T = (np.zeros(1, dtype=INDEX) if cc_on
+         else fl + np.flatnonzero(tcount[fl:fl + ng] > 0).astype(INDEX))
     S = np.zeros(T.shape[0], dtype=INDEX)
     # Boolean-mask selection and row gathers go through compress/take:
     # same elements, several times faster than fancy indexing here.
@@ -250,11 +205,10 @@ def _pair_walk(
         occupied = tcount.take(T) > 0 if cc_on else True
         if skip.any():
             met = skip & occupied & (T >= fl)
-            skipped += np.bincount(T.compress(met) - fl, minlength=ng)
+            steps += np.bincount(T.compress(met) - fl, minlength=ng)
         live = ~skip & occupied
         if not live.all():
             T, S, kl = T.compress(live), S.compress(live), kl.compress(live)
-        mac_evals += int(T.size)
         internal = kl == KLASS_INTERNAL
         dmin2 = aabb_dmin2(tlo.take(T, axis=0), thi.take(T, axis=0),
                            com.take(S, axis=0))
@@ -285,6 +239,7 @@ def _pair_walk(
         # cc_mac=0 walks leaf targets only.
         leaf_T = T.compress(t_leaf) if cc_on else T
         steps += np.bincount(leaf_T - fl, minlength=ng)
+        cell_evals += int(T.size - leaf_T.size)
         open_src = t_leaf & internal & ~src_ok
 
         nxt_T: list[np.ndarray] = []
@@ -343,9 +298,6 @@ def _pair_walk(
         exact_groups, exact_nodes = eg[order], en[order]
     else:
         exact_groups = exact_nodes = empty_idx
-    near = InteractionLists(offsets, nodes, approx, exact_groups,
-                            exact_nodes, steps, theta, mac_margin)
-
     # Deterministic far order (target, then source DFS rank): the M2L
     # scatter accumulates in this order, keeping the force bitwise
     # reproducible run to run.
@@ -357,13 +309,15 @@ def _pair_walk(
         ft, fs = ft[order], fs[order]
     else:
         ft = fs = empty_idx
-    return DualLists(near, ft, fs, tt, theta, cc_mac, mac_margin,
-                     mac_evals), skipped
+    return InteractionLists(offsets, nodes, approx, exact_groups,
+                            exact_nodes, steps, theta, mac_margin,
+                            far_t=ft, far_s=fs, tt=tt, cc_mac=cc_mac,
+                            cell_evals=cell_evals)
 
 
 def evaluate_dual(
     view: TreeView,
-    dual: DualLists,
+    lists: InteractionLists,
     groups: BodyGroups,
     x_sorted: np.ndarray,
     *,
@@ -378,148 +332,30 @@ def evaluate_dual(
 ) -> tuple[np.ndarray, dict]:
     """Near tiles + far M2L -> L2L downsweep -> L2P, at current positions.
 
-    The near side reuses :func:`evaluate_interaction_lists` unchanged
+    The near side is :func:`evaluate_interaction_lists` unchanged
     (*flat* / *m_sorted* are forwarded to it — the batch preparation
-    built against ``dual.near``).  When no
-    far pair was accepted (``cc_mac = 0``) the expansion stage is
-    skipped entirely — not even zeros are added — so the result is
-    bit-identical to the grouped evaluation of the same lists.
+    built against *lists*).  When no far pair was accepted (always at
+    ``cc_mac = 0``) the expansion stage is skipped entirely — not even
+    zeros are added — so the result is the grouped evaluation's.
     """
     acc, stats = evaluate_interaction_lists(
-        view, dual.near, groups, x_sorted,
+        view, lists, groups, x_sorted,
         G=G, eps2=eps2, body_ids=body_ids, mode=mode,
         flat=flat, m_sorted=m_sorted,
     )
     stats = dict(stats)
-    stats.update(m2l_terms=0, l2l_shifts=0, quad_far=0)
-    if dual.n_far == 0:
+    stats["quad_far"] = 0
+    if lists.n_far == 0:
         return acc, stats
-    tt = dual.tt
+    tt = lists.tt
     dim = x_sorted.shape[1]
     exp = LocalExpansion.zeros(tt.layout.n_nodes, dim, expansion_order)
     stats["quad_far"] = m2l_accumulate(
-        exp, dual.far_t, dual.far_s, view.com, view.mass, tt.center,
+        exp, lists.far_t, lists.far_s, view.com, view.mass, tt.center,
         G=G, eps2=eps2, quad=view.quad,
     )
-    stats["m2l_terms"] = dual.n_far
-    stats["l2l_shifts"] = l2l_sweep(exp, tt.layout, tt.center, ctx)
+    l2l_sweep(exp, tt.layout, tt.center, ctx)
     g_of_row = np.repeat(np.arange(groups.n_groups, dtype=INDEX),
                          np.diff(groups.offsets))
     acc += l2p_evaluate(exp, tt.leaf_of(g_of_row), x_sorted, tt.center)
     return acc, stats
-
-
-def account_dual_force(
-    counters: Counters,
-    dual: DualLists,
-    groups: BodyGroups,
-    *,
-    n_bodies: int,
-    dim: int,
-    pairs: int,
-    quad_terms: int = 0,
-    quad_far: int = 0,
-    expansion_order: int = 1,
-    visit_bytes: float = 50.0,
-    built: bool = True,
-    flops_per_visit: float = 8.0,
-    sort_comparisons: float = 0.0,
-    launches: float | None = None,
-    flat_launches: float = 0.0,
-    near_pairs_naive: float = 0.0,
-    near_pairs_evaluated: float = 0.0,
-) -> None:
-    """Charge one dual force evaluation.
-
-    The near side is charged exactly as a grouped evaluation of
-    ``dual.near``, whose ``steps`` hold the walk's leaf-target visits.
-    On a build, every pair-MAC test of the walk (``dual.mac_evals``,
-    which includes those visits) is charged on top.  The far side pays
-    M2L per pair, the L2L shift per target node and L2P per body every
-    step; the expansion arrays make one irregular round trip per stage.
-    """
-    account_grouped_force(
-        counters, dual.near, groups,
-        n_bodies=n_bodies, dim=dim,
-        pairs=pairs, quad_terms=quad_terms, visit_bytes=visit_bytes,
-        built=built, flops_per_visit=flops_per_visit,
-        sort_comparisons=sort_comparisons, launches=launches,
-        flat_launches=flat_launches,
-        near_pairs_naive=near_pairs_naive,
-        near_pairs_evaluated=near_pairs_evaluated,
-    )
-    walk = float(dual.mac_evals) if built else 0.0
-    nf = float(dual.n_far)
-    n_nodes = float(dual.tt.layout.n_nodes)
-    exp_bytes = expansion_words(dim, expansion_order) * 8.0
-    node_bytes = (dim + 1) * 8.0
-    counters.add(
-        mac_evals=walk,
-        pairs_accepted_cc=nf,
-        flops=(walk * flops_per_visit
-               + nf * m2l_flops(dim, expansion_order)
-               + quad_far * QUAD_EXTRA_FLOPS
-               + (n_nodes + n_bodies) * l2_flops(expansion_order)),
-        bytes_irregular=(walk * visit_bytes
-                         + nf * (node_bytes + exp_bytes)
-                         + quad_far * QUAD_EXTRA_BYTES),
-        bytes_read=(walk * visit_bytes
-                    + nf * (node_bytes + exp_bytes)
-                    + quad_far * QUAD_EXTRA_BYTES
-                    + 3.0 * n_nodes * exp_bytes      # L2L read+shift
-                    + n_bodies * (dim * 8.0 + exp_bytes)),
-        bytes_written=(nf * exp_bytes + n_nodes * exp_bytes
-                       + n_bodies * dim * 8.0),
-        traversal_steps=walk,
-        warp_traversal_steps=walk,
-        kernel_launches=(2.0 if nf else 0.0) + (1.0 if built else 0.0),
-    )
-
-
-def target_node_drift(tt: TargetTree, grp_drift: np.ndarray) -> np.ndarray:
-    """Max group drift below each target-tree node (bottom-up sweep)."""
-    layout = tt.layout
-    nd = np.zeros(layout.n_nodes, dtype=FLOAT)
-    fl = layout.first_leaf
-    nd[fl:fl + grp_drift.shape[0]] = grp_drift
-    for level in range(layout.n_levels - 2, -1, -1):
-        sl = layout.level_slice(level)
-        cl = layout.level_slice(level + 1)
-        k = sl.stop - sl.start
-        nd[sl] = nd[cl].reshape(k, 2).max(axis=1)
-    return nd
-
-
-def dual_lists_valid(
-    dual: DualLists,
-    grp_drift: np.ndarray,
-    node_drift: np.ndarray,
-    *,
-    size_factor: float,
-) -> bool:
-    """Drift-bounded gate for cached dual lists (refit composability).
-
-    The near lists use the grouped gate verbatim.  A far pair stays
-    valid while the margin absorbs (a) the source's centre-of-mass
-    motion and size growth (``size_factor``, as for grouped lists) and
-    (b) the target side: bodies drifting under the cached target box
-    both shrink ``dmin`` and effectively grow the box by twice the
-    drift, which costs ``2 / (theta * cc_mac)`` against the cell-cell
-    threshold.
-    """
-    # Deferred import: repro.maintenance imports the tree packages,
-    # which import this package.
-    from repro.maintenance.drift import lists_valid
-
-    if not lists_valid(dual.near, grp_drift, node_drift,
-                       size_factor=size_factor):
-        return False
-    if dual.n_far == 0:
-        return True
-    margin = float(dual.mac_margin)
-    tdrift = target_node_drift(dual.tt, grp_drift)
-    tc = dual.theta * dual.cc_mac
-    t_factor = 1.0 + (2.0 / tc if tc > 0.0 else np.inf)
-    slack = (tdrift[dual.far_t] * t_factor
-             + node_drift[dual.far_s] * (1.0 + size_factor))
-    return bool(np.all(slack <= margin))

@@ -53,7 +53,7 @@ per-body DFS emission order the lockstep walk accumulates in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,13 +62,14 @@ from repro.core.config import EVAL_MODES
 from repro.geometry.aabb import AABB
 from repro.machine.counters import Counters
 from repro.physics.gravity import FLOPS_PER_INTERACTION, SPECIAL_PER_INTERACTION
+from repro.physics.local_expansion import expansion_words, l2_flops, m2l_flops
 from repro.physics.multipole import (
     QUAD_EXTRA_BYTES,
     QUAD_EXTRA_FLOPS,
     quadrupole_accel,
 )
 from repro.traversal.groups import BodyGroups
-from repro.types import FLOAT
+from repro.types import FLOAT, INDEX
 
 KLASS_INTERNAL = 0
 KLASS_POINT = 1
@@ -158,9 +159,15 @@ class TreeView:
     box: AABB | None = None
 
 
+def _no_pairs() -> np.ndarray:
+    return np.empty(0, dtype=INDEX)
+
+
 @dataclass
 class InteractionLists:
-    """Per-group interaction lists, each in DFS visit order (CSR)."""
+    """Output of one list walk: per-group interaction lists, each in DFS
+    visit order (CSR), plus the dual walk's far cell pairs (none at
+    ``cc_mac = 0``, i.e. for the grouped traversal)."""
 
     offsets: np.ndarray       # (n_groups + 1,) into nodes/approx
     nodes: np.ndarray         # (n_entries,) emitted node ids
@@ -169,11 +176,32 @@ class InteractionLists:
     approx: np.ndarray
     exact_groups: np.ndarray  # (n_exact,) group of each bucket hit
     exact_nodes: np.ndarray   # (n_exact,) bucket leaf node ids
-    steps: np.ndarray         # (n_groups,) walk length per group
+    #: (n_groups,) walk length per group: the MAC tests at the group's
+    #: leaf target plus the empty (``KLASS_SKIP``) children met there.
+    steps: np.ndarray
     theta: float
     #: Opening-radius inflation the lists were built with (the
     #: drift-bounded MAC of repro.maintenance); 0 = the plain MAC.
     mac_margin: float = 0.0
+    #: (n_far,) target-tree node and source node of every cell pair
+    #: the walk retired via M2L, in deterministic accumulation order.
+    far_t: np.ndarray = field(default_factory=_no_pairs)
+    far_s: np.ndarray = field(default_factory=_no_pairs)
+    #: The target tree over the groups (``repro.traversal.dual``).
+    tt: object = None
+    cc_mac: float = 0.0
+    #: MAC tests charged to no group: those at internal targets and
+    #: the leaf-target pairs retired as far (0 at ``cc_mac = 0``).
+    cell_evals: int = 0
+
+    @property
+    def n_far(self) -> int:
+        return int(self.far_t.shape[0])
+
+    @property
+    def mac_evals(self) -> int:
+        """Every visit of the walk: what a list build is charged."""
+        return int(self.steps.sum()) + self.cell_evals
 
     @property
     def n_groups(self) -> int:
@@ -203,16 +231,16 @@ class InteractionLists:
 
 def build_interaction_lists(
     view: TreeView, groups: BodyGroups, theta: float,
-    *, mac_margin: float = 0.0,
+    *, cc_mac: float = 0.0, mac_margin: float = 0.0,
 ) -> InteractionLists:
     """Walk the tree once per group and emit its interaction lists.
 
-    The walk is the dual walk's (:mod:`repro.traversal.dual`) with the
-    cell-cell branch off: one source walk per leaf target, i.e. per
-    group, emissions sorted per group by DFS rank.  Groups must hold at
-    least one body; the walk drops empty targets.  ``steps`` counts
-    every node a group visits, including the empty (``KLASS_SKIP``)
-    children the walk drops before the MAC.
+    The walk is the dual walk (:func:`repro.traversal.dual.
+    build_dual_lists`) over a target tree of *groups*.  At the default
+    ``cc_mac=0`` (the grouped traversal) its cell-cell branch is off:
+    one source walk per leaf target, i.e. per group, emissions sorted
+    per group by DFS rank, no far pairs.  Groups must hold at least one
+    body; the walk drops empty targets.
 
     *mac_margin* > 0 tightens acceptance to
     ``size^2 < theta^2 * max(dmin - margin, 0)^2`` — the drift-bounded
@@ -224,13 +252,10 @@ def build_interaction_lists(
     supersets.  ``mac_margin=0`` is bit-identical to the plain MAC.
     """
     # Deferred import: the dual walk builds on the engine's structures.
-    from repro.traversal.dual import _pair_walk, build_target_tree
+    from repro.traversal.dual import build_dual_lists, build_target_tree
 
-    dual, skipped = _pair_walk(view, build_target_tree(groups), theta,
-                               0.0, mac_margin)
-    lists = dual.near
-    lists.steps += skipped
-    return lists
+    return build_dual_lists(view, build_target_tree(groups), theta,
+                            cc_mac=cc_mac, mac_margin=mac_margin)
 
 
 def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
@@ -389,6 +414,8 @@ def account_grouped_force(
     dim: int,
     pairs: int,
     quad_terms: int = 0,
+    quad_far: int = 0,
+    expansion_order: int = 1,
     visit_bytes: float = 50.0,
     built: bool = True,
     flops_per_visit: float = 8.0,
@@ -398,14 +425,20 @@ def account_grouped_force(
     near_pairs_naive: float = 0.0,
     near_pairs_evaluated: float = 0.0,
 ) -> None:
-    """Charge a grouped force evaluation (list-build vs list-eval split).
+    """Charge a grouped or dual force evaluation (list build vs eval).
 
     The build walk is pointer chasing (irregular bytes) but runs once
     per *group* and is warp-synchronous by construction — every lane of
     a warp executes the same walk — so its warp-granularity work equals
-    its per-thread work (no divergence inflation).  The eval is a dense
-    streaming tile.  When the lists come from the cross-timestep cache
-    (``built=False``), only the eval side is charged.
+    its per-thread work (no divergence inflation).  Each MAC test of the
+    walk is charged once (``lists.mac_evals``: the leaf-target visits in
+    ``steps`` plus, for a dual walk, the cell-cell tests above them).
+    The eval is a dense streaming tile.  When the lists come from the
+    cross-timestep cache (``built=False``), only the eval side is
+    charged.  Far pairs, when there are any, add the far stage every
+    step: M2L per pair, the L2L shift per target node and L2P per body,
+    each stage one irregular round trip through the expansion arrays
+    and the M2L and downsweep launches.
 
     *launches* overrides the kernel-launch charge (default: 2 for
     build+eval, 1 for eval-only).  Callers that batch several list
@@ -413,7 +446,7 @@ def account_grouped_force(
     evaluates every remote rank's halo tiles back to back — pass 0 for
     the batched-in calls so the fixed launch overhead is charged once.
     """
-    build_steps = float(lists.steps.sum()) if built else 0.0
+    build_steps = float(lists.mac_evals) if built else 0.0
     entries = float(lists.n_entries)
     node_bytes = (dim + 1) * 8.0
     quad_entries = float(lists.n_approx) if quad_terms else 0.0
@@ -446,6 +479,25 @@ def account_grouped_force(
         flat_launches=flat_launches,
         near_pairs_naive=near_pairs_naive,
         near_pairs_evaluated=near_pairs_evaluated,
+    )
+    nf = float(lists.n_far)
+    if not nf:
+        return
+    n_nodes = float(lists.tt.layout.n_nodes)
+    exp_bytes = expansion_words(dim, expansion_order) * 8.0
+    m2l_bytes = nf * (node_bytes + exp_bytes) + quad_far * QUAD_EXTRA_BYTES
+    counters.add(
+        pairs_accepted_cc=nf,
+        flops=(nf * m2l_flops(dim, expansion_order)
+               + quad_far * QUAD_EXTRA_FLOPS
+               + (n_nodes + n_bodies) * l2_flops(expansion_order)),
+        bytes_irregular=m2l_bytes,
+        bytes_read=(m2l_bytes
+                    + 3.0 * n_nodes * exp_bytes      # L2L read+shift
+                    + n_bodies * (dim * 8.0 + exp_bytes)),
+        bytes_written=(nf * exp_bytes + n_nodes * exp_bytes
+                       + n_bodies * dim * 8.0),
+        kernel_launches=2.0,
     )
 
 

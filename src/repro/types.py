@@ -53,10 +53,14 @@ def validate_positions(x: np.ndarray, dim: int | None = None,
 
 
 def validate_masses(m: np.ndarray, n: int) -> np.ndarray:
-    """Validate an ``(N,)`` mass array (non-negative, finite)."""
+    """Validate an ``(N,)`` mass array (non-negative, finite, with a
+    finite total: every tree node's mass is a partial sum of it)."""
     arr = as_float_array(m, "masses")
     if arr.shape != (n,):
         raise ValueError(f"masses must have shape ({n},), got {arr.shape}")
     if np.any(arr < 0):
         raise ValueError("masses must be non-negative")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr.sum()):
+            raise ValueError("masses sum to a non-finite total")
     return arr

@@ -10,8 +10,13 @@ seeded system through it.  Checked on every draw that supports them:
   local expansion order);
 * ``group_size=1`` is the lockstep walk bit for bit (monopole order,
   the tile evaluator that ``eval_mode="auto"`` picks for one-body
-  groups);
-* ``cc_mac=0`` is the grouped traversal bit for bit;
+  groups) on forces; their counters differ by design: the grouped
+  form charges a list build per group plus a tile evaluation, the
+  lockstep walk a per-body walk with its warp divergence;
+* ``cc_mac=0`` is the grouped traversal bit for bit: a trajectory of
+  a few steps ends at the same positions and velocities and charges
+  every ``StepCounters`` field of every phase the same, also under
+  ``tree_update="auto"``, which decides on those charges;
 * a checkpoint taken at a drawn step resumes bit-exactly, except under
   ``tree_update="auto"``, whose learned costs are not checkpointed
   (DESIGN.md).
@@ -70,6 +75,14 @@ def _forces(cfg, dim, seed):
     return Simulation(_system(dim, seed), cfg).evaluate_forces()
 
 
+def _trajectory(cfg, dim, seed, steps=3):
+    """End state and per-phase counters of a *steps*-step run."""
+    sim = Simulation(_system(dim, seed), cfg)
+    steps = sim.run(steps).counters.steps
+    return (sim.system.x, sim.system.v,
+            {name: c.as_dict() for name, c in steps.items()})
+
+
 def _case(dim=3, seed=1, split=2, **kw):
     """An explicit example: the table's first values, then *kw*."""
     base = {name: values[0] for name, values in LEGAL_VALUES.items()}
@@ -81,11 +94,19 @@ def _case(dim=3, seed=1, split=2, **kw):
                                  HealthCheck.too_slow])
 @given(cases())
 # Pinned: two-stage octrees at ranks > 1 on the dual far field; a 2-D
-# one-body-group BVH refit across two ranks; and a zeroth-order local
-# expansion, whose first-order truncation an O(theta^2) bound missed.
+# one-body-group BVH refit across two ranks; 2-D BVH and octree runs
+# under "auto", whose decisions read the charged counters (a double
+# charge of the dual walk once made that BVH draw's cc_mac=0 run part
+# from grouped within three steps); and a
+# zeroth-order local expansion, whose first-order truncation an
+# O(theta^2) bound missed.
 @example(_case(algorithm="octree-2stage", traversal="dual", ranks=2))
 @example(_case(algorithm="bvh", traversal="grouped", group_size=1, dim=2,
                ranks=2, tree_update="refit"))
+@example(_case(algorithm="bvh", traversal="dual", group_size=4, dim=2,
+               seed=3, tree_update="auto"))
+@example(_case(algorithm="octree", traversal="grouped", group_size=4,
+               dim=2, seed=2, tree_update="auto"))
 @example(_case(algorithm="octree", traversal="dual", theta=0.3,
                group_size=1, expansion_order=0, dim=2, seed=0, split=1))
 def test_contracts(case):
@@ -110,9 +131,11 @@ def test_contracts(case):
         assert np.array_equal(one, walk)
 
     if tree and cfg.traversal != "lockstep":
-        dual = _forces(cfg.with_(traversal="dual", cc_mac=0.0), dim, seed)
-        grouped = _forces(cfg.with_(traversal="grouped"), dim, seed)
-        assert np.array_equal(dual, grouped)
+        dual = _trajectory(cfg.with_(traversal="dual", cc_mac=0.0), dim, seed)
+        grouped = _trajectory(cfg.with_(traversal="grouped"), dim, seed)
+        assert np.array_equal(dual[0], grouped[0])
+        assert np.array_equal(dual[1], grouped[1])
+        assert dual[2] == grouped[2]
 
     if cfg.tree_update != "auto":
         total = split + 2

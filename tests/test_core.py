@@ -219,6 +219,20 @@ class TestBodyValidation:
             Simulation(s, SimulationConfig(algorithm="bvh",
                                            traversal="grouped"))
 
+    @pytest.mark.parametrize("algorithm", ["octree", "bvh"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_mass_total_must_be_finite(self, algorithm, order):
+        """Each mass finite but the total overflowing turns the tree's
+        node masses, hence the forces, non-finite: rejected up front.
+        A total that stays finite keeps the forces finite."""
+        s = plummer_sphere(300, seed=0)
+        cfg = SimulationConfig(algorithm=algorithm, multipole_order=order)
+        s.m[:] = 1e306
+        with pytest.raises(ValueError, match="masses sum to a non-finite"):
+            Simulation(s, cfg)
+        s.m[:] = 1e300
+        assert np.all(np.isfinite(Simulation(s, cfg).evaluate_forces()))
+
     def test_bad_velocity_named_at_construction(self):
         s = plummer_sphere(8, seed=1)
         with pytest.raises(ValueError, match="velocities contains"):

@@ -41,12 +41,8 @@ from repro.traversal import (
     make_groups,
     tree_accelerations,
 )
-from repro.traversal.dual import (
-    build_dual_lists,
-    build_target_tree,
-    dual_lists_valid,
-    target_node_drift,
-)
+from repro.maintenance.drift import bvh_node_drift, lists_valid
+from repro.traversal.dual import build_dual_lists, build_target_tree
 from repro.traversal.engine import build_interaction_lists, mac_threshold2
 from repro.workloads import galaxy_collision, plummer_sphere, uniform_cube
 
@@ -112,11 +108,11 @@ class TestExactFallback:
         dual = build_dual_lists(view, build_target_tree(groups), 0.5,
                                 cc_mac=0.0)
         assert dual.n_far == 0
-        assert np.array_equal(dual.near.offsets, ref.offsets)
-        assert np.array_equal(dual.near.nodes, ref.nodes)
-        assert np.array_equal(dual.near.approx, ref.approx)
-        assert np.array_equal(dual.near.exact_groups, ref.exact_groups)
-        assert np.array_equal(dual.near.exact_nodes, ref.exact_nodes)
+        assert np.array_equal(dual.offsets, ref.offsets)
+        assert np.array_equal(dual.nodes, ref.nodes)
+        assert np.array_equal(dual.approx, ref.approx)
+        assert np.array_equal(dual.exact_groups, ref.exact_groups)
+        assert np.array_equal(dual.exact_nodes, ref.exact_nodes)
 
     def test_simulation_trajectory_bit_identical(self):
         """Whole-pipeline fallback: a dual run with the cc branch off
@@ -178,7 +174,7 @@ class TestAccuracy:
         dual = build_dual_lists(view, build_target_tree(groups), 0.5,
                                 cc_mac=1.5)
         assert dual.n_far > 0
-        assert dual.near.n_approx < build_interaction_lists(
+        assert dual.n_approx < build_interaction_lists(
             view, groups, 0.5).n_approx
 
 
@@ -241,9 +237,28 @@ class TestCountersAndCache:
         tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
                            PARAMS, traversal="dual", theta=0.5, group_size=8,
                            cc_mac=1.0, expansion_order=2, cache=cache)
-        keys = [k for k in cache if k[0] == "dlists"]
-        assert ("dlists", 0.5, 8, 1.5, 2) in keys
-        assert ("dlists", 0.5, 8, 1.0, 2) in keys
+        assert ("lists", 0.5, 8, 1.5) in cache
+        assert ("lists", 0.5, 8, 1.0) in cache
+
+    def test_grouped_is_dual_at_cc_zero_in_the_cache(self, small_cloud):
+        """One cache key: grouped lists serve a ``cc_mac=0`` dual call
+        (no walk charged), with the same forces and eval counters."""
+        bvh = build_bvh(small_cloud.x, small_cloud.m)
+        cache: dict = {}
+        out = {}
+        for traversal in ("grouped", "dual"):
+            ctx = ExecutionContext()
+            out[traversal] = tree_accelerations(
+                bvh_tree_view(bvh), small_cloud.x, small_cloud.m, PARAMS,
+                traversal=traversal, theta=0.5, group_size=8, cc_mac=0.0,
+                ctx=ctx, cache=cache)
+            out[traversal + "_c"] = ctx.counters
+        assert list(cache) == [("lists", 0.5, 8, 0.0)]
+        assert np.array_equal(out["grouped"], out["dual"])
+        assert out["grouped_c"].mac_evals > 0
+        assert out["dual_c"].mac_evals == 0
+        assert (out["dual_c"].pairs_deferred
+                == out["grouped_c"].pairs_deferred)
 
     def test_grouped_mode_charges_no_cc_pairs(self, small_cloud):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
@@ -343,9 +358,9 @@ class TestRefitComposition:
         assert dual.n_far > 0
         zero = np.zeros(groups.n_groups)
         node_zero = np.zeros(view.com.shape[0])
-        assert dual_lists_valid(dual, zero, node_zero, size_factor=1.0)
+        assert lists_valid(dual, zero, node_zero, size_factor=1.0)
         big = np.full(groups.n_groups, 1.0)
-        assert not dual_lists_valid(dual, big, node_zero, size_factor=1.0)
+        assert not lists_valid(dual, big, node_zero, size_factor=1.0)
 
     def test_target_drift_is_subtree_max(self, small_cloud):
         bvh = build_bvh(small_cloud.x, small_cloud.m)
@@ -353,7 +368,7 @@ class TestRefitComposition:
         tt = build_target_tree(groups)
         rng = np.random.default_rng(0)
         grp = rng.random(groups.n_groups)
-        td = target_node_drift(tt, grp)
+        td = bvh_node_drift(tt.layout, grp)
         assert td[0] == pytest.approx(grp.max())
         fl = tt.first_leaf
         assert np.allclose(td[fl:fl + groups.n_groups], grp)

@@ -335,7 +335,7 @@ class TestSimulationIntegration:
         _, _, sim = run_sim("octree", reuse=4)
         maint = sim._tree_cache["_maintainer"]
         assert maint.tree is not None and maint._age >= 1  # shape intact
-        assert ("ilists", 0.4, 16) in maint.entry
+        assert ("lists", 0.4, 16, 0.0) in maint.entry
 
     def test_cache_reuse_skips_list_builds(self):
         _, rep1, _ = run_sim("octree", reuse=1, steps=8)
@@ -384,7 +384,7 @@ class TestCounters:
         cache: dict = {}
         tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
                            soft_gravity, group_size=8, cache=cache)
-        key = ("ilists", 0.5, 8)
+        key = ("lists", 0.5, 8, 0.0)
         lists = cache[key]["lists"]
         tree_accelerations(bvh_tree_view(bvh), small_cloud.x, small_cloud.m,
                            soft_gravity, group_size=8, cache=cache)

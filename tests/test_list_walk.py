@@ -226,39 +226,43 @@ class TestMatchesFrontierSweep:
 
 
 def _dual_digest(dual) -> str:
+    """Digest of the walk's lists: near CSR, buckets and far pairs."""
     h = hashlib.sha256()
-    arrays = [(name, getattr(dual.near, name)) for name in _ARRAYS]
+    arrays = [(name, getattr(dual, name)) for name in _ARRAYS[:-1]]
     arrays += [("far_t", dual.far_t), ("far_s", dual.far_s)]
     for name, a in arrays:
         h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
-    h.update(f"mac_evals:{dual.mac_evals}".encode())
     return h.hexdigest()
 
 
-#: (input, cc_mac) -> (digest, n_far, mac_evals, near.steps total),
-#: recorded before the grouped and dual walks became one.  ``None``
-#: stands for build_dual_lists' default cc_mac.
+#: (input, cc_mac) -> (digest, n_far, mac_evals, steps total).  The
+#: digests and ``n_far`` are the lists as they stood before the grouped
+#: and dual walks became one; ``steps`` counts the empty children met at
+#: leaf targets (as the grouped walk always did) and ``mac_evals`` is
+#: ``steps`` plus the cell-cell tests, each visit once.  ``None`` stands
+#: for build_dual_lists' default cc_mac.
 _PINNED = {
     ("octree", None): (
-        "c04f8c6472d8aa136befe1015db85a52f29775500f5618e84185d990d0e0289a",
-        11641, 102910, 77320),
+        "f75ecc70488cd89671f205b823f8f8e730c5cc53e4d76394b78cf44610f354a9",
+        11641, 189892, 164302),
     ("bvh", None): (
-        "d4329a30bbd7644a96c8952179b8a7744dd5b2262ae29786119e9c58f7d5f56b",
-        5932, 86776, 70459),
+        "141ee519d945424d41cfbffc85bac5855f1c8bbafe77f2f245cb46e947316c32",
+        5932, 86788, 70471),
     ("octree", 0.0): (
-        "cf24d8d2b9fb09784f2ced7fc2333dce276eb20fee35b386aa22b05371daf5b2",
-        0, 105204, 105109),
+        "c488e2bd01b0c1675f7aa6a32c9187860b0986477b2e94d99847ae65c683657f",
+        0, 225974, 225974),
     ("bvh", 0.0): (
-        "9effe27de28015537f1117377caae7bf01c9c6859fc95eab409bec6b5261a798",
-        0, 97311, 97216),
+        "b950dd75082060330920f636f8c28456376f83b9f6cb5f24490e0740d55e7573",
+        0, 97498, 97498),
 }
 
 
 @pytest.mark.parametrize("kind, cc_mac", sorted(_PINNED, key=str))
 def test_dual_lists_pinned(kind, cc_mac):
-    """Seeded dual lists — near arrays and ``steps``, far pairs and
-    ``mac_evals`` — bit for bit as before the walks were merged."""
+    """Seeded dual lists — near arrays, far pairs, ``steps`` and
+    ``mac_evals`` — bit for bit; at ``cc_mac=0`` every test is a
+    leaf-target visit, as in the grouped walk."""
     if kind == "octree":
         s = plummer_sphere(1500, seed=3)
     else:
@@ -269,5 +273,5 @@ def test_dual_lists_pinned(kind, cc_mac):
                             0.5, **kw)
     digest, n_far, mac_evals, steps = _PINNED[kind, cc_mac]
     assert (dual.n_far, dual.mac_evals) == (n_far, mac_evals)
-    assert int(dual.near.steps.sum()) == steps
+    assert int(dual.steps.sum()) == steps
     assert _dual_digest(dual) == digest

@@ -163,7 +163,7 @@ class TestBoundedDrift:
         sim = _sim(n=400)
         sim.run(5)
         maint = sim._tree_cache["_maintainer"]
-        key = ("ilists", THETA, 16)
+        key = ("lists", THETA, 16, 0.0)
         cached = maint.entry.get(key)
         assert cached is not None
         lists, groups = cached["lists"], cached["groups"]

@@ -40,7 +40,6 @@ from repro.physics.gravity import GravityParams
 from repro.stdpar.context import ExecutionContext
 from repro.traversal.driver import hilbert_body_order
 from repro.traversal.dual import (
-    account_dual_force,
     build_dual_lists,
     build_target_tree,
     evaluate_dual,
@@ -63,7 +62,6 @@ class _RemoteEvalStats:
     lists: InteractionLists
     pairs: int
     quad_terms: int
-    dual: object | None = None
     quad_far: int = 0
     flat_launches: int = 0
     near_pairs_naive: int = 0
@@ -78,14 +76,12 @@ def _reference_remote_accelerations(
     driver: its own list build and evaluate call, and a vectorized
     bucket-leaf expansion against the source arrays."""
     foreign = np.full(x_sorted.shape[0], -2, dtype=INDEX)
-    dual = None
     quad_far = 0
     if traversal == "dual":
-        dual = build_dual_lists(view, build_target_tree(groups), theta,
-                                cc_mac=cc_mac)
-        lists = dual.near
+        lists = build_dual_lists(view, build_target_tree(groups), theta,
+                                 cc_mac=cc_mac)
         acc, stats = evaluate_dual(
-            view, dual, groups, x_sorted, G=G, eps2=eps2, mode=eval_mode,
+            view, lists, groups, x_sorted, G=G, eps2=eps2, mode=eval_mode,
             body_ids=foreign, expansion_order=expansion_order,
         )
         quad_far = stats["quad_far"]
@@ -111,7 +107,7 @@ def _reference_remote_accelerations(
         acc[rows] += np.einsum("ij,ijk->ik", w, d)
         pairs += w.size
     return acc, _RemoteEvalStats(
-        lists, pairs, stats["quad_terms"], dual=dual, quad_far=quad_far,
+        lists, pairs, stats["quad_terms"], quad_far=quad_far,
         flat_launches=stats.get("flat_launches", 0),
         near_pairs_naive=stats.get("near_pairs_naive", 0),
         near_pairs_evaluated=stats.get("near_pairs_evaluated", 0),
@@ -131,20 +127,17 @@ def _reference_halo_force(view, x_src, m_src, x_dst, cfg, counters,
         traversal="dual" if cfg.traversal == "dual" else "grouped",
         cc_mac=cfg.cc_mac, expansion_order=cfg.expansion_order,
     )
-    common = dict(
+    account_grouped_force(
+        counters, st.lists, groups,
         n_bodies=x_dst.shape[0], dim=x_dst.shape[1],
-        pairs=st.pairs, quad_terms=st.quad_terms,
+        pairs=st.pairs, quad_terms=st.quad_terms, quad_far=st.quad_far,
+        expansion_order=cfg.expansion_order,
         visit_bytes=view.visit_bytes, built=True,
         flops_per_visit=view.flops_per_visit, launches=launches,
         flat_launches=st.flat_launches,
         near_pairs_naive=st.near_pairs_naive,
         near_pairs_evaluated=st.near_pairs_evaluated,
     )
-    if st.dual is not None:
-        account_dual_force(counters, st.dual, groups, quad_far=st.quad_far,
-                           expansion_order=cfg.expansion_order, **common)
-    else:
-        account_grouped_force(counters, st.lists, groups, **common)
     return acc, st
 
 
@@ -218,8 +211,8 @@ def test_matches_oracle(tree, order, traversal, group_size, eval_mode,
         assert acc.tobytes() == ref.tobytes()
 
     expected = ref_counters.as_dict()
-    if st.dual is not None and st.dual.n_far:
-        layout = st.dual.tt.layout
+    if st.lists.n_far:
+        layout = st.lists.tt.layout
         expected["kernel_launches"] += layout.n_levels - 1
         expected["loop_iterations"] += layout.n_nodes - 1
     assert counters.as_dict() == expected
@@ -236,7 +229,7 @@ def test_matrix_exercises_buckets_and_far_pairs():
         assert build_interaction_lists(view, groups, THETA).exact_groups.size
         dual = build_dual_lists(view, build_target_tree(groups), THETA,
                                 cc_mac=1.5)
-        assert dual.near.exact_groups.size
+        assert dual.exact_groups.size
         n_far[gs] = dual.n_far
     assert n_far[1] > 0 and n_far[7] > 0
 

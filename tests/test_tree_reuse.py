@@ -169,7 +169,7 @@ class TestGroupedListCache:
     supersets for every member body, and keep the theta error bound
     when evaluated against the refreshed multipoles."""
 
-    ILIST_KEY = ("ilists", THETA, GROUP_SIZE)
+    ILIST_KEY = ("lists", THETA, GROUP_SIZE, 0.0)
 
     def test_lists_live_in_structure_entry(self):
         _, _, sim = grun("octree", 4)
