@@ -22,6 +22,7 @@ scattered back at the end); this changes nothing observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,13 @@ def hilbert_sort_permutation(
 
         return sort_by_key(par, keys, ctx)
     return np.argsort(keys, kind="stable")
+
+
+class CurveOrder(NamedTuple):
+    """HILBERTSORT's result: the bodies' curve order on *box*'s grid."""
+
+    perm: np.ndarray
+    box: AABB
 
 
 @dataclass

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.config import SimulationConfig
 from repro.errors import ForwardProgressError
 from repro.geometry.aabb import AABB, compute_bounding_box
+from repro.geometry.morton import max_bits
 from repro.physics.bodies import BodySystem
 from repro.stdpar.algorithms import transform_reduce
 from repro.stdpar.context import ExecutionContext
@@ -155,12 +156,17 @@ class OctreeHooks:
     vectorized equivalents.
     """
 
-    #: Steps the build, moments and (distributed) refit are charged to.
+    #: Steps the build, moments and refit are charged to.
     build_step = "build_tree"
     moments_step = "multipoles"
     refit_step = "multipoles"
     #: Moments run as a pass of their own after the build.
     fused_moments = False
+    #: The build does not sort bodies: the maintainer's epoch curve
+    #: order is an argsort of its own.
+    sorts_by_keys = False
+    #: The maintainer method this tree's step calls (see TreeMaintainer).
+    maintain_entry = "maintain_octree"
 
     def __init__(self, two_stage: bool = False):
         self.two_stage = two_stage
@@ -206,17 +212,21 @@ class OctreeHooks:
         none, octree cells never change."""
         return 0.0
 
+    def sense_grid(self, config, dim):
+        """The maintainer's sensing ``(bits, curve)``: the grid the
+        grouped traversal orders bodies on."""
+        return max_bits(dim), "hilbert"
+
+    def node_drift(self, pool, disp, rows):
+        """Max body drift below each cell, from per-body *disp*."""
+        from repro.maintenance.drift import octree_node_drift
+
+        return octree_node_drift(pool, disp)
+
     def view(self, pool):
         from repro.octree.force import octree_tree_view
 
         return octree_tree_view(pool)
-
-    def maintain(self, maint, system, algo, config, ctx):
-        """The maintainer's step, then moments at current positions."""
-        pool = maint.maintain_octree(
-            system, algo, lambda box: self.build(system.x, box, config, ctx))
-        with ctx.step(self.moments_step):
-            return self.moments(pool, system.x, system.m, config, ctx)
 
 
 class BVHHooks:
@@ -234,14 +244,20 @@ class BVHHooks:
     #: Moments are accumulated inside the build: the distributed
     #: runtime runs them per rank within its build loop.
     fused_moments = True
+    #: The build sorts by the curve keys the maintainer senses with, and
+    #: the structure's ``perm`` is the epoch curve order.
+    sorts_by_keys = True
+    #: The maintainer method this tree's step calls (see TreeMaintainer).
+    maintain_entry = "maintain_bvh"
 
     def build(self, x, box, config, ctx, keys=None):
-        """``(perm, box)``; *keys* are precomputed curve keys of *x*."""
-        from repro.bvh.build import hilbert_sort_permutation
+        """The :class:`~repro.bvh.build.CurveOrder` of *x* over *box*;
+        *keys* are precomputed curve keys of *x*."""
+        from repro.bvh.build import CurveOrder, hilbert_sort_permutation
 
         perm = hilbert_sort_permutation(x, box, bits=config.bits, ctx=ctx,
                                         curve=config.curve, keys=keys)
-        return perm, box
+        return CurveOrder(perm, box)
 
     def moments(self, structure, x, m, config, ctx):
         from repro.bvh.build import assemble_bvh
@@ -262,13 +278,21 @@ class BVHHooks:
         twice its drift."""
         return 2.0 / theta if theta > 0.0 else np.inf
 
+    def sense_grid(self, config, dim):
+        """The maintainer's sensing ``(bits, curve)``: the sort grid."""
+        bits = config.bits if config.bits is not None else max_bits(dim)
+        return bits, config.curve
+
+    def node_drift(self, bvh, disp, rows):
+        """Max body drift below each node, from *rows* (leaf order)."""
+        from repro.maintenance.drift import bvh_node_drift
+
+        return bvh_node_drift(bvh.layout, rows)
+
     def view(self, bvh):
         from repro.bvh.force import bvh_tree_view
 
         return bvh_tree_view(bvh)
-
-    def maintain(self, maint, system, algo, config, ctx):
-        return maint.maintain_bvh(system, algo)
 
 
 class TreeAlgorithm(ForceAlgorithm):
@@ -278,9 +302,10 @@ class TreeAlgorithm(ForceAlgorithm):
     the maintainer's refit), moments, CALCULATEFORCE — and differs only
     in its *hooks* (:class:`OctreeHooks`, :class:`BVHHooks`): the build
     from a bounding box, the moments that make it force-ready, the
-    maintainer entry and the traversal-engine view that the lockstep
-    walk and the grouped/dual driver run on.  The distributed runtime
-    and the checkpoint replay call the same hooks.
+    refit, what the maintainer senses and gates with (grid, key-sorted
+    build, node drift) and the traversal-engine view that the lockstep
+    walk and the grouped/dual driver run on.  The maintainer, the
+    distributed runtime and the checkpoint replay call the same hooks.
     """
 
     complexity = "O(N log N)"
@@ -304,7 +329,7 @@ class TreeAlgorithm(ForceAlgorithm):
         hooks = self.hooks
         maint = get_maintainer(cache, config, ctx)
         if maint is not None:
-            tree = hooks.maintain(maint, system, self, config, ctx)
+            tree = getattr(maint, hooks.maintain_entry)(system, self)
             entry = maint.entry
         else:
             # Rebuild every evaluation.  A shared structure cache serves

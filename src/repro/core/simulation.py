@@ -7,11 +7,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.algorithms import ForceAlgorithm, get_algorithm
-from repro.core.config import SimulationConfig
+from repro.core.config import TREE_ALGORITHMS, SimulationConfig
 from repro.machine.counters import StepCounters
 from repro.physics.bodies import BodySystem
 from repro.physics.integrator import VerletIntegrator
 from repro.stdpar.context import ExecutionContext
+from repro.types import validate_moments
 
 #: Canonical step order for reporting (paper Algorithm 2 / 6, extended
 #: with the distributed phases of repro.distributed).
@@ -84,6 +85,8 @@ class Simulation:
         #: timestep (and fed by the TrajectoryRecorder when present).
         self.metrics = metrics
         self.algorithm: ForceAlgorithm = get_algorithm(self.config.algorithm)
+        if self.config.algorithm in TREE_ALGORITHMS:
+            validate_moments(system.x, system.m, self.config.multipole_order)
         self.last_report: StepReport | None = None
         #: Per-simulation cross-step state: the tree maintainer under
         #: ``"_maintainer"``.  An injected dict may carry a ``"_shared"``

@@ -22,7 +22,7 @@ positions:
   the epoch positions ``x_ref`` and age, the previous-step positions
   (drift sensing), the drift-budget scalars and event counts, and per
   cached list its build snapshot and MAC margin.  Restore replays the
-  epoch rebuild at ``x_ref`` through the algorithm's maintainer hook,
+  epoch rebuild at ``x_ref`` through the maintainer's own step,
   refits the structure to each list's snapshot through its refit hook,
   and re-runs the force driver with the captured margin —
   byte-identical lists, so the validity gate resumes exactly where it
@@ -167,10 +167,9 @@ def _maint_from_reuse(reuse: dict, config) -> dict:
 def _restore_maintainer(sim, ms: dict, scratch) -> None:
     """Replay the epoch rebuild at ``x_ref``, then the cached lists.
 
-    A fresh maintainer's first step is always a rebuild, so entering it
-    through the algorithm's own maintainer hook at ``x_ref`` reproduces
-    the epoch structure (and, for the octree, its Hilbert reference
-    order) bit for bit; the captured scalars then overwrite its fresh
+    A fresh maintainer's first step is always a rebuild, so running it
+    at ``x_ref`` reproduces the epoch structure, tree and curve order
+    bit for bit; the captured scalars then overwrite its fresh
     budget, drift and counts.
     """
     from repro.maintenance.maintainer import TreeMaintainer
@@ -182,9 +181,7 @@ def _restore_maintainer(sim, ms: dict, scratch) -> None:
     # The replay charges the scratch context; from here on the
     # maintainer accounts to the resumed simulation's own.
     maint = TreeMaintainer(config, scratch)
-    algo.hooks.maintain(
-        maint, BodySystem(x_ref.copy(), np.zeros_like(x_ref), m),
-        algo, config, scratch)
+    maint.maintain(BodySystem(x_ref.copy(), np.zeros_like(x_ref), m), algo)
     maint.ctx = sim.ctx
 
     maint._x_prev = (None if ms["x_prev"] is None

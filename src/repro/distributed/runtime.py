@@ -74,10 +74,8 @@ class DistributedReport:
         fabric times are already in ``traffic.rank_seconds``, and the
         model's single-link ``comm`` term would double-charge them.
         """
-        compute = np.array(
-            [model.total_time(sc) for sc in self.rank_counters], dtype=FLOAT
-        )
-        return compute + self.traffic.rank_seconds
+        compute, comm = self.comm_compute_split(model)
+        return compute + comm
 
     def model_step_seconds(self, model: CostModel) -> float:
         """Bulk-synchronous step time: the slowest rank."""
@@ -300,17 +298,20 @@ class DistributedRuntime:
                 np.add.at(flow, (self._prev_rank_of[moved], rank_of[moved]), 1.0)
                 bb = _body_bytes(dim)
                 for s, d in zip(*np.nonzero(flow)):
-                    nb = flow[s, d] * bb
-                    self.fabric.send(int(s), int(d), nb)
-                    self.rank_ctx[s].step_counters.step("partition").add(
-                        comm_bytes=nb, comm_messages=1.0)
-                    self.rank_ctx[d].step_counters.step("partition").add(
-                        comm_bytes=nb, comm_messages=1.0)
+                    self._send("partition", int(s), int(d), flow[s, d] * bb)
         self._prev_rank_of = rank_of
         self._decomp = decomp
 
         self._charge_partition_ranks(decomp, dim)
         return decomp, rebalanced, migrated, keys
+
+    def _send(self, step: str, s: int, d: int, nb: float) -> None:
+        """Fabric transfer of *nb* bytes from rank *s* to rank *d*,
+        charged to both ranks' comm counters under *step*."""
+        self.fabric.send(s, d, nb)
+        for r in (s, d):
+            self.rank_ctx[r].step_counters.step(step).add(
+                comm_bytes=nb, comm_messages=1.0)
 
     def _keys(self, x: np.ndarray):
         """Bounding box and global Hilbert keys of *x*.
@@ -500,16 +501,12 @@ class DistributedRuntime:
                 mac_margin=mac_margin,
             )
             plans[s] = plan
-            cs = self.rank_ctx[s].step_counters.step("exchange")
             for d, nb in zip(plan.dests, plan.n_bytes):
-                self.fabric.send(s, int(d), float(nb))
+                self._send("exchange", s, int(d), float(nb))
                 let_bytes[s, int(d)] = float(nb)
-                cs.add(comm_bytes=float(nb), comm_messages=1.0)
-                self.rank_ctx[int(d)].step_counters.step("exchange").add(
-                    comm_bytes=float(nb), comm_messages=1.0)
             # The selection walk itself (pointer chasing on the source).
             visited = float(plan.visited_nodes.sum())
-            cs.add(
+            self.rank_ctx[s].step_counters.step("exchange").add(
                 flops=visited * 8.0,
                 bytes_irregular=visited * views[s].visit_bytes,
                 bytes_read=visited * views[s].visit_bytes,
@@ -537,16 +534,12 @@ class DistributedRuntime:
             plan = self._epoch["plans"][s]
             if plan is None:
                 continue
-            cs = self.rank_ctx[s].step_counters.step("exchange")
             for d, visited in zip(plan.dests, plan.visited_nodes):
                 nb = float(visited) * rb
-                self.fabric.send(s, int(d), nb)
+                self._send("exchange", s, int(d), nb)
                 let_bytes[s, int(d)] = nb
-                cs.add(comm_bytes=nb, comm_messages=1.0)
-                self.rank_ctx[int(d)].step_counters.step("exchange").add(
-                    comm_bytes=nb, comm_messages=1.0)
             visited = float(plan.visited_nodes.sum())
-            cs.add(
+            self.rank_ctx[s].step_counters.step("exchange").add(
                 flops=visited * 2.0,
                 bytes_read=visited * rb,
                 bytes_written=visited * rb,

@@ -6,24 +6,32 @@ the last full rebuild, the positions it was built from, the absolute
 drift budget derived from the root cell, and the per-interaction-list
 position snapshots the drift-bounded gate measures against.
 
-Every step runs the same pipeline:
+Every step runs one body, :meth:`TreeMaintainer.maintain`, which knows
+no tree type: it drives the tree only through its algorithm's hooks
+(``algo.hooks``, see :class:`~repro.core.algorithms.TreeAlgorithm`).
 
-1. **sense** (``encode`` step) — recompute curve keys through the
-   :class:`~repro.maintenance.keycache.KeyCache`, measure disorder of
-   the epoch ordering and the max displacement since the epoch build;
+1. **sense** (``encode`` step) — curve keys on the hooks' sensing grid
+   (``sense_grid``) through the
+   :class:`~repro.maintenance.keycache.KeyCache`, the disorder of the
+   epoch curve order and the max displacement since the epoch build;
 2. **decide** — :class:`~repro.maintenance.policy.MaintenancePolicy`
    picks rebuild or refit;
-3. **rebuild** (``sort`` + ``build_tree`` steps) or **refit**
-   (``refit`` step: fused level-sweep geometry refresh for the BVH, and
-   the cached-list validity gate for both backends);
+3. **rebuild** — bounding box, then ``hooks.build`` under its
+   ``build_step`` and ``hooks.moments`` under its ``moments_step``.  A
+   build that sorts by curve keys (``sorts_by_keys``) takes the keys
+   encoded just before it and its ``perm`` is the epoch curve order;
+   otherwise the order is a charged argsort of its own after the build.
+   **refit** — the cached-list validity gate under ``refit`` (per-node
+   drift from ``hooks.node_drift``), then ``hooks.refit`` under its
+   ``refit_step``;
 4. after the force phase, :meth:`TreeMaintainer.finish_step` snapshots
    positions for freshly built lists and feeds the cost model's view of
    the executed step back to the auto policy.
 
-Tree reuse (``tree_reuse_steps > 1``) runs the same pipeline under the
+Tree reuse (``tree_reuse_steps > 1``) runs the same body under the
 policy's fixed cadence: no sensing, a rebuild once the epoch has served
-its evaluations, and in between the epoch structure with moments
-refreshed at the current positions.  Its lists are never gated: they
+its evaluations, and in between ``hooks.moments`` over the kept
+structure at the current positions.  Its lists are never gated: they
 live for the whole epoch, built with margin 0.
 """
 
@@ -31,18 +39,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bvh.build import assemble_bvh, hilbert_sort_permutation, refit_bvh
 from repro.machine.counters import Counters
-from repro.geometry.morton import max_bits
 from repro.machine.costmodel import CostModel
 from repro.maintenance.disorder import coarsen_keys, key_disorder, sense_bits
-from repro.maintenance.drift import (
-    bvh_node_drift,
-    displacement,
-    group_drift,
-    lists_valid,
-    octree_node_drift,
-)
+from repro.maintenance.drift import displacement, group_drift, lists_valid
 from repro.maintenance.keycache import KeyCache
 from repro.maintenance.policy import Decision, MaintenancePolicy
 from repro.types import FLOAT
@@ -92,9 +92,11 @@ class TreeMaintainer:
         #: lists remember it for their own validity gate.
         self.mac_margin = 0.0
         # --- epoch state ---------------------------------------------
-        self._bvh = None
-        self._pool = None
-        self._order: np.ndarray | None = None  # octree epoch Hilbert order
+        #: The force-ready epoch tree (what the hooks' moments or refit
+        #: last returned).
+        self.tree = None
+        self._structure = None  # the last rebuild's hooks.build result
+        self._order: np.ndarray | None = None  # epoch curve order (sensed)
         self._x_ref: np.ndarray | None = None
         self._age = 0  # force evaluations the epoch has served
         self._x_prev: np.ndarray | None = None
@@ -103,102 +105,66 @@ class TreeMaintainer:
         self._list_state: dict = {}  # lists key -> (lists, x snapshot)
         self._snap: dict | None = None
 
-    @property
-    def tree(self):
-        """The epoch structure: the BVH, or the octree pool."""
-        return self._bvh if self._bvh is not None else self._pool
-
-    # ------------------------------------------------------------------
-    # BVH
-    # ------------------------------------------------------------------
-    def maintain_bvh(self, system, algo):
-        config, ctx = self.config, self.ctx
-        x = system.x
+    def maintain(self, system, algo):
+        """One maintenance step of *algo*'s tree at *system*'s positions,
+        through ``algo.hooks`` alone; returns the force-ready tree."""
+        config, ctx, hooks = self.config, self.ctx, algo.hooks
+        x, m = system.x, system.m
         n, dim = x.shape
-        bits = config.bits if config.bits is not None else max_bits(dim)
-        have = self._bvh is not None and self._bvh.n_bodies == n
-        decision = self._decide(
-            x, bits, config.curve, have,
-            order=self._bvh.perm if have else None,
-            box=self._bvh.box if have else None,
-        )
+        bits, curve = hooks.sense_grid(config, dim)
+        have = self.tree is not None and self.tree.n_bodies == n
+        decision = self._decide(x, bits, curve, have)
         if decision.action == "rebuild":
             box = algo._bounding_box(x, ctx)
-            with ctx.step("encode"):
-                keys = self.keycache.keys(x, box, bits=bits,
-                                          curve=config.curve, ctx=ctx)
-            with ctx.step("sort"):
-                perm = hilbert_sort_permutation(
-                    x, box, bits=bits, ctx=ctx, curve=config.curve, keys=keys
-                )
-            with ctx.step("build_tree"):
-                self._bvh = assemble_bvh(x, system.m, perm, box, ctx=ctx,
-                                         order=config.multipole_order)
-            self._begin_epoch(x, box.longest_side)
-        elif self.policy.senses:
-            with ctx.step("refit"):
-                self._bvh = refit_bvh(self._bvh, x, ctx=ctx)
-                self._gate_lists(x, kind="bvh",
-                                 growth=algo.hooks.refit_growth(config.theta))
-            self._keep_epoch()
-        else:
-            # Cadence: the epoch order, reassembled at the current
-            # positions by the build's own fused pass.
-            with ctx.step("build_tree"):
-                self._bvh = algo.hooks.moments(
-                    (self._bvh.perm, self._bvh.box), x, system.m, config, ctx)
-            self._keep_epoch()
-        self._update_margin()
-        return self._bvh
-
-    # ------------------------------------------------------------------
-    # Octree (concurrent / vectorized / two-stage, via *builder*)
-    # ------------------------------------------------------------------
-    def maintain_octree(self, system, algo, builder):
-        config, ctx = self.config, self.ctx
-        x = system.x
-        n, dim = x.shape
-        bits = max_bits(dim)  # grouped-traversal order grid
-        have = self._pool is not None and self._pool.n_bodies == n
-        decision = self._decide(
-            x, bits, "hilbert", have,
-            order=self._order if have else None,
-            box=self._pool.box if have else None,
-        )
-        if decision.action == "rebuild":
-            box = algo._bounding_box(x, ctx)
-            with ctx.step("build_tree"):
-                self._pool = builder(box)
-            if self.policy.senses:
+            keys = None
+            if hooks.sorts_by_keys:
                 with ctx.step("encode"):
-                    # Epoch reference order: the Hilbert order the
-                    # grouped traversal walks in, against which later
-                    # steps measure disorder.  One argsort, charged as
-                    # such.
-                    keys = self.keycache.keys(x, self._pool.box, bits=bits,
-                                              curve="hilbert", ctx=ctx)
+                    keys = self.keycache.keys(x, box, bits=bits, curve=curve,
+                                              ctx=ctx)
+            with ctx.step(hooks.build_step):
+                self._structure = hooks.build(x, box, config, ctx, keys=keys)
+            if hooks.sorts_by_keys:
+                self._order = self._structure.perm
+            elif self.policy.senses:
+                with ctx.step("encode"):
+                    # The build did not sort: the epoch reference order
+                    # is one argsort of the keys, charged as such.
+                    keys = self.keycache.keys(x, self._structure.box,
+                                              bits=bits, curve=curve, ctx=ctx)
                     self._order = np.argsort(keys, kind="stable")
                     ctx.counters.add(
                         sort_comparisons=float(n) * float(np.log2(max(n, 2))),
                         bytes_read=8.0 * n, bytes_written=8.0 * n,
                         kernel_launches=1.0,
                     )
-            self._begin_epoch(x, self._pool.root_side)
+            with ctx.step(hooks.moments_step):
+                self.tree = hooks.moments(self._structure, x, m, config, ctx)
+            self._begin_epoch(x)
         elif self.policy.senses:
+            # The list gate is refit work.  The tree's refit shares its
+            # window when charged to "refit" too, else follows it.
             with ctx.step("refit"):
-                # Structure and leaf membership are kept; the multipole
-                # phase (which the caller runs every step regardless)
-                # refreshes coms at the current positions.  Only the
-                # cached lists need revalidating here.
-                self._gate_lists(x, kind="octree",
-                                 growth=algo.hooks.refit_growth(config.theta))
+                self._gate_lists(x, hooks)
+                if hooks.refit_step == "refit":
+                    self.tree = hooks.refit(self.tree, x, m, config, ctx)
+            if hooks.refit_step != "refit":
+                with ctx.step(hooks.refit_step):
+                    self.tree = hooks.refit(self.tree, x, m, config, ctx)
             self._keep_epoch()
         else:
-            # Cadence: the cells are kept as they are; the caller's
-            # multipole phase refreshes them.
+            # Cadence: the epoch structure, its moments refreshed at the
+            # current positions.
+            with ctx.step(hooks.moments_step):
+                self.tree = hooks.moments(self._structure, x, m, config, ctx)
             self._keep_epoch()
         self._update_margin()
-        return self._pool
+        return self.tree
+
+    # perfbench's ``maintenance.maintain_s`` span wraps the maintainer
+    # step by these two qualnames (``TreeAlgorithm`` calls the one its
+    # hooks name).  They go once perfbench reads the program's own spans
+    # (ROADMAP item 1).
+    maintain_bvh = maintain_octree = maintain
 
     # ------------------------------------------------------------------
     def _emit_decision(self, decision: Decision) -> None:
@@ -240,10 +206,10 @@ class TreeMaintainer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _begin_epoch(self, x: np.ndarray, root_side: float) -> None:
+    def _begin_epoch(self, x: np.ndarray) -> None:
         self._x_ref = np.asarray(x, dtype=FLOAT).copy()
         self._budget_abs = self.config.drift_budget * max(
-            float(root_side), np.finfo(FLOAT).tiny
+            float(self._structure.box.longest_side), np.finfo(FLOAT).tiny
         )
         self.entry.clear()
         self._list_state.clear()
@@ -262,11 +228,11 @@ class TreeMaintainer:
         self.mac_margin = min(self._budget_abs,
                               self.MARGIN_STEPS * self._step_drift)
 
-    def _decide(self, x, bits, curve, have, *, order, box) -> Decision:
+    def _decide(self, x, bits, curve, have) -> Decision:
         """This step's decision, traced and fed back when it was sensed."""
         self._snap = self._take_snapshot() if self.policy.senses else None
         if have and self.policy.senses:
-            decision = self._sense(x, bits, curve, order=order, box=box)
+            decision = self._sense(x, bits, curve)
         else:
             self._step_drift = 0.0
             decision = self.policy.decide(have_structure=have, age=self._age)
@@ -275,14 +241,15 @@ class TreeMaintainer:
         self.last_decision = decision
         return decision
 
-    def _sense(self, x, bits, curve, *, order, box) -> Decision:
+    def _sense(self, x, bits, curve) -> Decision:
         """Measure disorder + drift and ask the policy (``encode`` step)."""
         ctx = self.ctx
         n, dim = x.shape
         with ctx.step("encode"):
-            keys = self.keycache.keys(x, box, bits=bits, curve=curve, ctx=ctx)
+            keys = self.keycache.keys(x, self._structure.box, bits=bits,
+                                      curve=curve, ctx=ctx)
             sb = sense_bits(n, dim, occupancy=self.config.group_size)
-            stats = key_disorder(coarsen_keys(keys[order], bits, sb, dim))
+            stats = key_disorder(coarsen_keys(keys[self._order], bits, sb, dim))
             disp = displacement(x, self._x_ref)
             drift = float(disp.max(initial=0.0))
             if self._x_prev is not None and self._x_prev.shape == x.shape:
@@ -306,12 +273,13 @@ class TreeMaintainer:
             drift_ok=drift <= self._budget_abs,
         )
 
-    def _gate_lists(self, x: np.ndarray, *, kind: str, growth: float) -> None:
+    def _gate_lists(self, x: np.ndarray, hooks) -> None:
         """Drop cached lists whose drift-bounded validity gate fails.
 
-        *growth* is the tree's MAC-extent growth per unit node drift
-        under refit (``hooks.refit_growth(theta)``)."""
+        The tree's *hooks* give the per-node drift and the MAC-extent
+        growth per unit node drift under refit."""
         n, dim = x.shape
+        growth = hooks.refit_growth(self.config.theta)
         for key in [k for k in self.entry if isinstance(k, tuple)]:
             cached = self.entry[key]
             state = self._list_state.get(key)
@@ -319,12 +287,8 @@ class TreeMaintainer:
                 ok = False  # untracked list: cannot prove anything
             else:
                 disp = displacement(x, state[1])
-                if kind == "bvh":
-                    rows = disp[self._bvh.perm]
-                    node_drift = bvh_node_drift(self._bvh.layout, rows)
-                else:
-                    rows = disp[cached["perm"]]
-                    node_drift = octree_node_drift(self._pool, disp)
+                rows = disp[cached["perm"]]
+                node_drift = hooks.node_drift(self.tree, disp, rows)
                 grp = group_drift(cached["groups"].offsets, rows)
                 lists = cached["lists"]
                 with np.errstate(invalid="ignore"):

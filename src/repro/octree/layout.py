@@ -121,13 +121,9 @@ class OctreePool:
     def nchild(self) -> int:
         return 1 << self.dim
 
-    @property
-    def root_side(self) -> float:
-        return self.box.longest_side
-
     def node_side(self, depth) -> np.ndarray | float:
         """Geometric side length of nodes at the given depth(s)."""
-        return self.root_side * np.exp2(-np.asarray(depth, dtype=FLOAT))
+        return self.box.longest_side * np.exp2(-np.asarray(depth, dtype=FLOAT))
 
     # ------------------------------------------------------------------
     # Bump allocation of sibling groups.

@@ -64,3 +64,16 @@ def validate_masses(m: np.ndarray, n: int) -> np.ndarray:
         if not np.isfinite(arr.sum()):
             raise ValueError("masses sum to a non-finite total")
     return arr
+
+
+def validate_moments(x: np.ndarray, m: np.ndarray, order: int) -> None:
+    """Reject bodies whose tree moments overflow at multipole *order*:
+    node sums of ``m x`` are bounded by ``sum(m max|x_i|)``, order-2
+    terms ``3 m s s`` (``|s| <= 2 max|x|`` per axis) by
+    ``12 m.sum() max|x|**2``."""
+    with np.errstate(over="ignore"):
+        r = np.abs(x).max(axis=1, initial=0.0)
+        bound = m @ r if order < 2 else 12.0 * m.sum() * r.max(initial=0.0) ** 2
+    if not np.isfinite(bound):
+        raise ValueError(f"masses times extent overflow the order-{order} "
+                         "tree moments")

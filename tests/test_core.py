@@ -233,6 +233,39 @@ class TestBodyValidation:
         s.m[:] = 1e300
         assert np.all(np.isfinite(Simulation(s, cfg).evaluate_forces()))
 
+    @pytest.mark.parametrize("algorithm", ["octree", "bvh"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_moments_must_be_finite(self, algorithm, order):
+        """A finite total mass whose moments overflow (1e300 per body at
+        extent 1e10) gives non-finite forces: rejected up front.  The
+        same masses at unit extent run with finite forces."""
+        cfg = SimulationConfig(algorithm=algorithm, multipole_order=order,
+                               traversal="grouped")
+        s = plummer_sphere(300, seed=0)
+        s.m[:] = 1e300
+        assert np.all(np.isfinite(Simulation(s, cfg).evaluate_forces()))
+        s.x *= 1e10
+        with pytest.raises(ValueError, match=f"order-{order} tree moments"):
+            Simulation(s, cfg)
+
+    @pytest.mark.parametrize("algorithm", ["octree", "bvh"])
+    def test_quadrupoles_bound_the_extent_at_order_two(self, algorithm):
+        """At extent ~1.6e4 the monopole sums stay finite but the
+        quadrupoles overflow: only order 2 rejects."""
+        s = plummer_sphere(300, seed=0)
+        s.m[:] = 1e300
+        s.x *= 1e3
+        cfg = SimulationConfig(algorithm=algorithm, traversal="grouped")
+        assert np.all(np.isfinite(Simulation(s, cfg).evaluate_forces()))
+        with pytest.raises(ValueError, match="order-2 tree moments"):
+            Simulation(s, cfg.with_(multipole_order=2))
+
+    def test_all_pairs_has_no_moments_to_bound(self):
+        s = plummer_sphere(64, seed=0)
+        s.m[:] = 1e300
+        s.x *= 1e10
+        Simulation(s, SimulationConfig(algorithm="all-pairs"))
+
     def test_bad_velocity_named_at_construction(self):
         s = plummer_sphere(8, seed=1)
         with pytest.raises(ValueError, match="velocities contains"):

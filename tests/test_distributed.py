@@ -285,19 +285,24 @@ class TestRuntimeForces:
                                           rebalance_steps=2)).run(5)
         assert relative_l2_error(sysB.x, sysA.x) < 1e-2
 
-    @pytest.mark.parametrize("tree_update", ["rebuild", "refit"])
+    @pytest.mark.parametrize("tree_update", ["rebuild", "refit", "cadence"])
     @pytest.mark.parametrize("traversal", ["lockstep", "grouped", "dual"])
     def test_twostage_trajectory_is_octree(self, traversal, tree_update):
         """The two-stage builder makes the octree's tree, so its
-        distributed trajectory is the octree's bit for bit."""
-        x = {}
-        for alg in ("octree", "octree-2stage"):
-            s = plummer_sphere(600, seed=1)
-            Simulation(s, SimulationConfig(
-                algorithm=alg, ranks=2, traversal=traversal,
-                tree_update=tree_update)).run(3)
-            x[alg] = s.x
-        assert np.array_equal(x["octree"], x["octree-2stage"])
+        trajectory is the octree's bit for bit, on one rank and
+        distributed.  ``"cadence"`` is tree reuse (one rank only): its
+        four evaluations rebuild, keep the structure twice, rebuild."""
+        mode = (dict(tree_reuse_steps=3) if tree_update == "cadence"
+                else dict(tree_update=tree_update))
+        for ranks in (1,) if tree_update == "cadence" else (1, 2):
+            x = {}
+            for alg in ("octree", "octree-2stage"):
+                s = plummer_sphere(600, seed=1)
+                Simulation(s, SimulationConfig(
+                    algorithm=alg, ranks=ranks, traversal=traversal,
+                    **mode)).run(3)
+                x[alg] = s.x
+            assert np.array_equal(x["octree"], x["octree-2stage"]), ranks
 
     def test_auto_is_refit(self):
         """At ranks > 1 the runtime's one refit-or-rebuild decision

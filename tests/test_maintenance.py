@@ -167,8 +167,8 @@ class TestBoundedDrift:
         cached = maint.entry.get(key)
         assert cached is not None
         lists, groups = cached["lists"], cached["groups"]
-        view = bvh_tree_view(maint._bvh)
-        x_sorted = maint._bvh.x_sorted
+        view = bvh_tree_view(maint.tree)
+        x_sorted = maint.tree.x_sorted
         go = groups.offsets
         checked = 0
         for g in range(lists.n_groups):
