@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
                       "tiles (tile), batch kernels with n3l near-field "
                       "dedup (flat) or the same batches without it "
                       "(gemm); auto = tile for one-body groups, else "
-                      "flat at ranks=1 and gemm at ranks>1")
+                      "flat (cross-rank halos stay one-sided)")
     _config_flag(p, "cc_mac",
                  help="dual mode: target-side opening multiplier of the "
                       "cell-cell MAC (0 disables the far-field branch)")

@@ -126,12 +126,10 @@ class SimulationConfig:
     #: near-field dedup — :mod:`repro.traversal.flat`), ``"gemm"`` (the
     #: same batches without the dedup: every list entry a node source),
     #: or ``"auto"`` (default: tile for one-body groups, whose contract
-    #: is bit-exactness; flat for multi-body groups whenever the caller
-    #: hands the driver an entry dict — always the case for a single-rank
-    #: :class:`Simulation`, though a rebuild-every-step run's entry lives
-    #: for one evaluation — and gemm for calls without one, which
-    #: includes every ``ranks > 1`` force).  flat and gemm share one
-    #: block kernel; EXPERIMENTS.md measures gemm against flat.
+    #: is bit-exactness; flat for every multi-body group, ``ranks > 1``
+    #: included, where cross-rank halos stay one-sided because their
+    #: targets are foreign).  flat and gemm share one block kernel;
+    #: EXPERIMENTS.md measures gemm against flat.
     eval_mode: str = "auto"
     #: Dual traversal only: target-side opening multiplier of the
     #: symmetric cell-cell MAC.  A pair is retired far-field when the

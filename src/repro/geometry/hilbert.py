@@ -20,7 +20,12 @@ import numpy as np
 
 from repro.types import CODE
 from repro.geometry.aabb import AABB, quantize_to_grid
-from repro.geometry.morton import max_bits, morton_encode
+from repro.geometry.morton import (
+    _part1by1,
+    _part1by2,
+    max_bits,
+    morton_encode,
+)
 
 _U = np.uint64
 
@@ -39,43 +44,56 @@ def _check(grid: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     return g, dim
 
 
+def _transpose_columns(x: np.ndarray, bits: int) -> list[np.ndarray]:
+    """Skilling's AxesToTranspose on checked ``(N, dim)`` coordinates,
+    one contiguous ``uint64`` column per axis.
+
+    Every conditional of the scalar algorithm becomes a mask: the bit
+    tested, shifted down and multiplied by ``p = q - 1``, is ``p`` where
+    it is set and 0 where it is clear, and ``p`` xor that mask is the
+    opposite.  The Gray encode's ``t`` — the xor of ``q - 1`` over the
+    set bits ``q > 1`` of the last axis — is the prefix parity of that
+    axis shifted down one bit, formed in six shifts.
+    """
+    dim = x.shape[1]
+    cols = [np.ascontiguousarray(x[:, i]) for i in range(dim)]
+    x0 = cols[0]
+    m = np.empty_like(x0)
+    t = np.empty_like(x0)
+    # Inverse undo.
+    for b in range(bits - 1, 0, -1):
+        p = _U((1 << b) - 1)
+        for i, xi in enumerate(cols):
+            np.right_shift(xi, _U(b), out=m)
+            m &= _U(1)
+            m *= p          # p where bit b of x[i] is set
+            x0 ^= m         # invert the low bits of x[0] there
+            if i == 0:
+                continue    # x[0] exchanges nothing with itself
+            m ^= p          # p where it is clear: exchange low bits
+            np.bitwise_xor(x0, xi, out=t)
+            t &= m
+            x0 ^= t
+            xi ^= t
+    # Gray encode.
+    for i in range(1, dim):
+        cols[i] ^= cols[i - 1]
+    np.right_shift(cols[-1], _U(1), out=t)
+    for s in (1, 2, 4, 8, 16, 32):
+        t ^= t >> _U(s)
+    for xi in cols:
+        xi ^= t
+    return cols
+
+
 def axes_to_transpose(grid: np.ndarray, bits: int) -> np.ndarray:
     """Skilling's AxesToTranspose, vectorized.
 
     Takes ``(N, dim)`` grid coordinates and returns the ``(N, dim)``
     transpose representation of their Hilbert indices.
     """
-    x, dim = _check(grid, bits)
-    x = x.copy()
-    m = _U(1) << _U(bits - 1)
-
-    # Inverse undo.
-    q = int(m)
-    while q > 1:
-        p = _U(q - 1)
-        qq = _U(q)
-        for i in range(dim):
-            hi = (x[:, i] & qq) != 0
-            # invert x[0] where bit set
-            x[:, 0] ^= np.where(hi, p, _U(0))
-            # exchange low bits of x[0] and x[i] where bit clear
-            t = np.where(hi, _U(0), (x[:, 0] ^ x[:, i]) & p)
-            x[:, 0] ^= t
-            x[:, i] ^= t
-        q >>= 1
-
-    # Gray encode.
-    for i in range(1, dim):
-        x[:, i] ^= x[:, i - 1]
-    t = np.zeros(x.shape[0], dtype=CODE)
-    q = int(m)
-    while q > 1:
-        nz = (x[:, dim - 1] & _U(q)) != 0
-        t ^= np.where(nz, _U(q - 1), _U(0))
-        q >>= 1
-    for i in range(dim):
-        x[:, i] ^= t
-    return x
+    x, _ = _check(grid, bits)
+    return np.stack(_transpose_columns(x, bits), axis=1)
 
 
 def transpose_to_axes(transpose: np.ndarray, bits: int) -> np.ndarray:
@@ -105,24 +123,8 @@ def transpose_to_axes(transpose: np.ndarray, bits: int) -> np.ndarray:
     return x
 
 
-def _interleave_transpose(x: np.ndarray, bits: int) -> np.ndarray:
-    """Pack the transpose form into a single integer key.
-
-    Bit ``q`` of axis ``i`` (0 = most significant axis, per Skilling's
-    convention) lands at key bit ``q*dim + (dim-1-i)``, so the key's
-    most-significant group holds the top bit of every axis.
-    """
-    n, dim = x.shape
-    key = np.zeros(n, dtype=CODE)
-    for q in range(bits):
-        for i in range(dim):
-            bit = (x[:, i] >> _U(q)) & _U(1)
-            key |= bit << _U(q * dim + (dim - 1 - i))
-    return key
-
-
 def _deinterleave_key(key: np.ndarray, bits: int, dim: int) -> np.ndarray:
-    """Inverse of :func:`_interleave_transpose`."""
+    """Inverse of the interleave in :func:`hilbert_encode`."""
     out = np.zeros((key.shape[0], dim), dtype=CODE)
     for q in range(bits):
         for i in range(dim):
@@ -137,10 +139,20 @@ def hilbert_encode(grid: np.ndarray, bits: int) -> np.ndarray:
     The result is a ``uint64`` key in ``[0, 2**(bits*dim))``; sorting by
     it orders points along the Hilbert curve (paper Algorithm 7 — note
     that like the paper we precompute the index once rather than
-    recomputing it inside the sort comparator).
+    recomputing it inside the sort comparator).  Bit ``q`` of transpose
+    axis ``i`` (0 = most significant axis, per Skilling's convention)
+    lands at key bit ``q*dim + (dim-1-i)``, so the key's most-significant
+    group holds the top bit of every axis: each axis is spread by the
+    Morton coder's magic-bit interleave and shifted into its slot.
     """
-    x = axes_to_transpose(grid, bits)
-    return _interleave_transpose(x, bits)
+    x, dim = _check(grid, bits)
+    cols = _transpose_columns(x, bits)
+    spread = _part1by2 if dim == 3 else _part1by1
+    key = spread(cols[0])
+    for xi in cols[1:]:
+        key <<= _U(1)
+        key |= spread(xi)
+    return key
 
 
 def curve_keys(x: np.ndarray, box: AABB, bits: int, *,

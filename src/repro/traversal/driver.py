@@ -122,7 +122,7 @@ def tree_accelerations(
     body_ids = (np.full(n, _FOREIGN_BODY_ID, dtype=INDEX) if foreign
                 else perm if sorts else None)
 
-    mode = resolve_eval_mode(eval_mode, groups, amortized=cache is not None)
+    mode = resolve_eval_mode(eval_mode, groups)
     # Per-epoch precomputes live inside the cached entry, so the
     # maintainer's list invalidation drops them in the same stroke.
     flat = None

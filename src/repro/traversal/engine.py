@@ -254,32 +254,30 @@ def build_interaction_lists(
     # Deferred import: the dual walk builds on the engine's structures.
     from repro.traversal.dual import build_dual_lists, build_target_tree
 
-    return build_dual_lists(view, build_target_tree(groups), theta,
-                            cc_mac=cc_mac, mac_margin=mac_margin)
+    tt = build_target_tree(groups, internal=cc_mac > 0.0)
+    return build_dual_lists(view, tt, theta, cc_mac=cc_mac,
+                            mac_margin=mac_margin)
 
 
-def resolve_eval_mode(mode: str, groups: BodyGroups, *, amortized: bool) -> str:
+def resolve_eval_mode(mode: str, groups: BodyGroups) -> str:
     """The evaluator ``eval_mode="auto"`` stands for.
 
     Tile for one-body groups, whose contract is bit-exactness with the
-    lockstep walk; otherwise flat when the caller passes an entry
-    dict (*amortized*), gemm when it passes none.  The entry amortizes
-    flat's block preparation only when it outlives the call — the
-    maintainer's epoch entry does; a rebuild-every-step run's per-call
-    entry does not, so there every call pays the preparation, which
-    works on list entries and runs, never pairs, and costs a fraction
-    of the evaluation.  Flat and gemm run the same block kernel; flat
-    wins the modeled seconds through its near-field dedup, gemm still
-    the host seconds by ~25 % (EXPERIMENTS.md compares both clocks).
-    Explicit modes pass through; unknown ones raise.
+    lockstep walk; flat for every other group, cached or not.  Flat and
+    gemm run the same block kernel, and flat wins the modeled seconds
+    through its near-field dedup (Newton's third law); a caller without
+    a structure cache — a rebuild-every-step rank — pays flat's block
+    preparation on every call, which works on list entries and runs,
+    never pairs.  Foreign targets switch the dedup off inside
+    :func:`~repro.traversal.flat.build_flat_lists`, so cross-rank halos
+    stay one-sided.  EXPERIMENTS.md compares both clocks.  Explicit
+    modes pass through; unknown ones raise.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown eval mode {mode!r}")
     if mode != "auto":
         return mode
-    if groups.max_group_size <= 1:
-        return "tile"
-    return "flat" if amortized else "gemm"
+    return "tile" if groups.max_group_size <= 1 else "flat"
 
 
 def evaluate_interaction_lists(
@@ -307,7 +305,7 @@ def evaluate_interaction_lists(
     near-field dedup — see :mod:`repro.traversal.flat`), ``"gemm"``
     (the same batches without the dedup), or ``"auto"`` (tile only for
     the degenerate one-body groups whose contract is exactness, flat
-    when *flat* is given, gemm otherwise — :func:`resolve_eval_mode`).
+    otherwise — :func:`resolve_eval_mode`).
     *flat* is the per-epoch preparation (built on the fly when omitted
     — callers with a structure cache should pass it; gemm's is built
     with ``n3l=False``); *m_sorted* (masses in sorted-row order)
@@ -315,7 +313,7 @@ def evaluate_interaction_lists(
     """
     x_sorted = np.asarray(x_sorted, dtype=FLOAT)
     n, dim = x_sorted.shape
-    mode = resolve_eval_mode(mode, groups, amortized=flat is not None)
+    mode = resolve_eval_mode(mode, groups)
 
     if mode != "tile":
         # Deferred import: flat builds on the engine's data structures.

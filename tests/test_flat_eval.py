@@ -150,8 +150,8 @@ class TestFlatMatchesTile:
         assert relative_l2_error(flat, tile) < RTOL
 
     def test_auto_mode_selection(self, small_cloud, soft_gravity):
-        """auto = tile for singleton groups, flat for cached multi-body
-        groups, gemm for uncached one-shot calls."""
+        """auto = tile for singleton groups, flat for every multi-body
+        call, cached or one-shot."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
         auto = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
@@ -166,10 +166,7 @@ class TestFlatMatchesTile:
         uncached = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
                                       small_cloud.m, soft_gravity,
                                       group_size=16, eval_mode="auto")
-        gemm = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
-                                  small_cloud.m, soft_gravity, group_size=16,
-                                  eval_mode="gemm")
-        assert np.array_equal(uncached, gemm)
+        assert np.array_equal(uncached, flat)
         auto1 = tree_accelerations(bvh_tree_view(bvh), small_cloud.x,
                                    small_cloud.m, soft_gravity, group_size=1,
                                    eval_mode="auto")
@@ -481,6 +478,44 @@ class TestStructureCache:
 
 
 class TestDistributed:
+    @pytest.mark.parametrize("alg", ["bvh", "octree"])
+    def test_ranks2_local_force_runs_n3l_blocks(self, alg, monkeypatch):
+        """At ranks=2 ``auto`` is flat: each rank's local force prepares
+        two-sided near-field blocks, the cross-rank halos (foreign
+        targets) one-sided ones only, and the local two-sided blocks
+        scatter equal and opposite impulses."""
+        import repro.traversal.flat as flat_mod
+
+        seen = []
+        evaluate = flat_mod.evaluate_flat
+
+        def spy(view, flat, x_sorted, **kw):
+            seen.append((view, flat, np.array(x_sorted), kw))
+            return evaluate(view, flat, x_sorted, **kw)
+
+        monkeypatch.setattr(flat_mod, "evaluate_flat", spy)
+        s = galaxy_collision(600, seed=5)
+        _forces(s, algorithm=alg, traversal="dual", ranks=2)
+        local = [c for c in seen if c[3]["m_sorted"] is not None]
+        halo = [c for c in seen if c[3]["m_sorted"] is None]
+        assert local and len(halo) == len(local)  # one halo per rank
+        for _, fl, _, _ in halo:
+            assert {b.kind for b in fl.buckets} <= {"node", "leaf"}
+            assert fl.n_two_sided == 0
+        for view, fl, xs, kw in local:
+            kinds = {b.kind for b in fl.buckets}
+            assert "two" in kinds and "leaf" not in kinds
+            two_only = dataclasses.replace(
+                fl, buckets=[b for b in fl.buckets if b.kind in MUTUAL_KINDS],
+                _scratch={})
+            m = kw["m_sorted"]
+            acc, _ = evaluate(view, two_only, xs, G=1.0, eps2=kw["eps2"],
+                              m_sorted=m)
+            assert np.any(acc != 0.0)
+            net = (m[:, None] * acc).sum(axis=0)
+            scale = np.abs(m[:, None] * acc).sum(axis=0).max()
+            assert np.all(np.abs(net) < 1e-12 * scale)
+
     @pytest.mark.parametrize("alg", ["bvh", "octree"])
     def test_ranks2_flat_matches_tile(self, alg):
         s = galaxy_collision(500, seed=3)
