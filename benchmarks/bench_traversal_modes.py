@@ -7,7 +7,7 @@ cached — the three list evaluators:
 * ``lockstep``     — the per-body masked-numpy walk (paper Fig. 3);
 * ``grouped``      — group-coherent traversal, interaction lists built
   *and* evaluated in the same call with no entry dict (``auto`` resolves
-  to gemm there);
+  to flat there too, so this row runs the ``flat+build`` path);
 * ``flat+build``   — the same call with a fresh per-call entry dict and
   ``eval_mode="flat"``: lists built, flattened and evaluated once, which
   is exactly what a rebuild-every-step ``Simulation`` pays per step;
@@ -158,7 +158,7 @@ def sweep(n: int, *, group_size: int = GROUP_SIZE, reps: int = 3) -> list[dict]:
         t_lock = _best_of(lockstep, reps)
 
         # No cache: lists built and evaluated in one call; auto resolves
-        # to gemm without an entry dict.
+        # to flat, as with an entry dict.
         a_grp = grouped(None)
         t_build = _best_of(lambda: grouped(None), reps)
         cache: dict = {}
