@@ -1,16 +1,29 @@
 """Host-kernel microbenchmarks: real wall-clock times of this
 reproduction's vectorized pipeline steps (not modeled device times).
 
-These measure the Python/numpy lockstep kernels themselves, giving the
-baseline behind every figure's "host" measurement and tracking
-regressions in the implementation.
+These measure the Python/numpy kernels themselves, giving the baseline
+behind every figure's "host" measurement and tracking regressions in
+the implementation.  The ``kernels-layers`` group times the three force
+layers of the benchmark workloads (``perfbench/workloads.py``) on the
+inputs of their first step: the list walk (``build_dual_lists``), the
+batch preparation (``build_flat_lists``) and the batch kernel
+(``evaluate_flat``), each over every call one set-up plus one step
+makes.  Run them alone with::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py \
+        -k layers --benchmark-only
 """
 
 import numpy as np
 import pytest
 
+import repro.traversal.driver
+import repro.traversal.dual
+import repro.traversal.flat
 from repro.bvh.build import build_bvh
 from repro.bvh.force import bvh_accelerations
+from repro.core.config import SimulationConfig
+from repro.core.simulation import Simulation
 from repro.geometry.aabb import compute_bounding_box, quantize_to_grid
 from repro.geometry.hilbert import hilbert_encode
 from repro.geometry.morton import morton_encode
@@ -18,7 +31,9 @@ from repro.octree.build_vectorized import build_octree_vectorized
 from repro.octree.force import octree_accelerations
 from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.gravity import GravityParams
-from repro.workloads import galaxy_collision
+from repro.traversal.dual import build_dual_lists
+from repro.traversal.flat import build_flat_lists, evaluate_flat
+from repro.workloads import galaxy_collision, plummer_sphere
 
 N = 4000
 PARAMS = GravityParams(softening=0.05)
@@ -101,3 +116,73 @@ def test_allpairs_force(benchmark, system):
         allpairs_accelerations, args=(system.x, system.m, PARAMS),
         rounds=2, iterations=1,
     )
+
+
+#: The benchmark workloads' inputs and configurations, as in
+#: ``perfbench/workloads.py``: (generator, bodies, config).
+WORKLOADS = {
+    "galaxy-bvh-refit": (
+        galaxy_collision, 3000,
+        SimulationConfig(algorithm="bvh", traversal="grouped",
+                         tree_update="refit")),
+    "plummer-octree-rebuild": (
+        plummer_sphere, 4000,
+        SimulationConfig(algorithm="octree", traversal="grouped")),
+    "galaxy-bvh-dual-ranks2": (
+        galaxy_collision, 8000,
+        SimulationConfig(algorithm="bvh", traversal="dual", ranks=2)),
+}
+
+
+def _first_step_calls(name: str) -> dict:
+    """Arguments of every walk, batch preparation and batch evaluation
+    that setting up *name* and running its first step makes."""
+    generate, n, config = WORKLOADS[name]
+    calls: dict = {"walk": [], "prep": [], "eval": []}
+
+    def spy(kind, fn):
+        def wrapper(*args, **kw):
+            calls[kind].append((args, kw))
+            return fn(*args, **kw)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.traversal.dual, "build_dual_lists",
+                   spy("walk", build_dual_lists))
+        prep = spy("prep", build_flat_lists)
+        mp.setattr(repro.traversal.driver, "build_flat_lists", prep)
+        mp.setattr(repro.traversal.flat, "build_flat_lists", prep)
+        mp.setattr(repro.traversal.flat, "evaluate_flat",
+                   spy("eval", evaluate_flat))
+        Simulation(generate(n, seed=0), config).run(1)
+    return calls
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def first_step(request):
+    calls = _first_step_calls(request.param)
+    assert all(calls.values()), calls.keys()
+    return calls
+
+
+def _replay(fn, calls):
+    for args, kw in calls:
+        fn(*args, **kw)
+
+
+@pytest.mark.benchmark(group="kernels-layers")
+def test_layers_list_walk(benchmark, first_step):
+    benchmark.pedantic(_replay, args=(build_dual_lists, first_step["walk"]),
+                       rounds=3, iterations=1)
+
+
+@pytest.mark.benchmark(group="kernels-layers")
+def test_layers_flat_prep(benchmark, first_step):
+    benchmark.pedantic(_replay, args=(build_flat_lists, first_step["prep"]),
+                       rounds=3, iterations=1)
+
+
+@pytest.mark.benchmark(group="kernels-layers")
+def test_layers_flat_eval(benchmark, first_step):
+    benchmark.pedantic(_replay, args=(evaluate_flat, first_step["eval"]),
+                       rounds=3, iterations=1)

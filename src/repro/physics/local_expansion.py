@@ -162,48 +162,54 @@ def m2l_accumulate(
     """
     if far_t.size == 0:
         return 0
-    d = com[far_s] - center[far_t]
+    # Row gathers by ``take``: the same values as fancy indexing, about
+    # a quarter of its time.
+    d = com.take(far_s, axis=0)
+    d -= center.take(far_t, axis=0)
     r2 = np.einsum("kj,kj->k", d, d) + eps2
     inv_r3 = r2 ** -1.5
-    m = mass[far_s]
+    m = mass.take(far_s)
     w = G * m * inv_r3
     a0_terms = w[:, None] * d
     quad_terms = 0
     if quad is not None:
-        a0_terms += quadrupole_accel(d, r2, quad[far_s], G)
+        a0_terms += quadrupole_accel(d, r2, quad.take(far_s, axis=0), G)
         quad_terms = int(far_t.shape[0])
-    # Packed rows: a0, then J_ij (i <= j), then H_ijl (i <= j, any l),
-    # each from component rows of d in the full-tensor formula's product
-    # and summation order, so the expansion is bitwise the same.
-    k, dim = d.shape
+    # Packed components: a0, then J_ij (i <= j), then H_ijl (i <= j, any
+    # l), each from component rows of d in the full-tensor formula's
+    # product and summation order, so the expansion is bitwise the same.
+    # Each row is scattered as soon as it is formed: no (components, k)
+    # block is ever held.
+    dim = d.shape[1]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     n_j = len(pairs) if exp.jac is not None else 0
     h_dim = dim if exp.hess is not None else 0
-    rows = np.empty((dim + n_j * (1 + h_dim), k), dtype=FLOAT)
-    rows[:dim] = a0_terms.T
-    hess_rows = rows[dim + n_j:].reshape(n_j, h_dim, k)
+    n_t = exp.a0.shape[0]
+    packed = np.zeros((dim + n_j * (1 + h_dim), n_t), dtype=FLOAT)
+    scatter_add(packed[:dim].T, far_t, a0_terms)
+    hess_rows = packed[dim + n_j:].reshape(n_j, h_dim, n_t)
     dc = np.ascontiguousarray(d.T)
     inv_r5 = inv_r3 / r2
     w5 = 3.0 * G * m * inv_r5
     w7 = 15.0 * G * m * (inv_r5 / r2)
     for p, (i, j) in enumerate(pairs[:n_j]):
         dd = dc[i] * dc[j]
-        rows[dim + p] = w5 * dd - w if i == j else w5 * dd
+        scatter_add(packed[dim + p], far_t,
+                    w5 * dd - w if i == j else w5 * dd)
         for c in range(h_dim):
             # delta_ij d_c + delta_ic d_j + delta_jc d_i, zero terms skipped
             e = [dc[b] for hit, b in ((i == j, c), (i == c, j), (j == c, i))
                  if hit]
             h = w7 * (dd * dc[c])
-            hess_rows[p, c] = h - w5 * sum(e[1:], e[0]) if e else h
-    packed = np.zeros((exp.a0.shape[0], rows.shape[0]), dtype=FLOAT)
-    scatter_add(packed, far_t, rows.T)
-    exp.a0 += packed[:, :dim]
+            scatter_add(hess_rows[p, c], far_t,
+                        h - w5 * sum(e[1:], e[0]) if e else h)
+    exp.a0 += packed[:dim].T
     sym = [pairs.index((min(i, j), max(i, j)))
            for i in range(dim) for j in range(dim)]
     if n_j:
-        exp.jac += packed[:, dim:dim + n_j][:, sym].reshape(exp.jac.shape)
+        exp.jac += packed[dim:dim + n_j][sym].T.reshape(exp.jac.shape)
     if h_dim:
-        exp.hess += packed[:, dim + n_j:].reshape(-1, n_j, dim)[:, sym] \
+        exp.hess += packed[dim + n_j:].T.reshape(-1, n_j, dim)[:, sym] \
             .reshape(exp.hess.shape)
     return quad_terms
 

@@ -169,34 +169,45 @@ def build_dual_lists(
     source) pairs at once, so the Python loop runs depth-many rounds.
     Empty (``KLASS_SKIP``) sources are dropped before the MAC; those met
     at a group's leaf target still count in its ``steps``, as the
-    grouped walk's visits.  With the cell-cell branch off
-    (``cc_mac = 0``) every pair above a leaf target would split the
-    target, so the walk starts at the occupied leaf targets with the
-    source root.
+    grouped walk's visits.  Empty padding targets are dropped where a
+    split creates them.  With the cell-cell branch off (``cc_mac = 0``)
+    every pair above a leaf target would split the target, so the walk
+    starts at the occupied leaf targets with the source root.
+
+    Each round gathers its operands from axis-outermost ``(dim, n)``
+    tables (the target boxes in one) by ``take``, in 32-bit indices when
+    both trees fit; leaf-target visits are counted once, after the
+    loop.  The emitted arrays are ``INDEX``.
     """
     empty_idx = np.empty(0, dtype=INDEX)
     ng = tt.n_groups
     theta2 = theta * theta
     cc2 = cc_mac * cc_mac
-    steps = np.zeros(ng, dtype=np.int64)
 
     if ng == 0 or view.klass.shape[0] == 0 or tt.count[0] == 0:
         return InteractionLists(
             np.zeros(ng + 1, dtype=INDEX), empty_idx,
             np.empty(0, dtype=bool), empty_idx, empty_idx,
-            steps, theta, mac_margin, tt=tt, cc_mac=cc_mac,
+            np.zeros(ng, dtype=np.int64), theta, mac_margin, tt=tt,
+            cc_mac=cc_mac,
         )
 
     klass = view.klass
     ssize2 = view.size2
-    com = view.com
-    first_child = view.first_child
-    branch = view.branch
     fl = tt.first_leaf
     tsize2 = tt.size2
-    tcount = tt.count
-    tlo, thi = tt.lo, tt.hi
     cc_on = cc_mac > 0.0
+    dim = view.com.shape[1]
+    # Working indices: children reach 2 * n_target_nodes and
+    # first_child + branch.
+    bound = max(2 * tt.count.shape[0], klass.shape[0] + view.branch)
+    idx = np.int32 if bound <= np.iinfo(np.int32).max else INDEX
+    first_child = view.first_child.astype(idx)
+    # Axis-outermost tables: one take per round gathers a contiguous
+    # row per axis.
+    com = np.ascontiguousarray(view.com.T)
+    tbox = np.concatenate((tt.lo.T, tt.hi.T))
+    t_occupied = tt.count > 0
 
     rows_g: list[np.ndarray] = []
     rows_nd: list[np.ndarray] = []
@@ -205,36 +216,36 @@ def build_dual_lists(
     ex_nd: list[np.ndarray] = []
     far_t: list[np.ndarray] = []
     far_s: list[np.ndarray] = []
+    visits: list[np.ndarray] = []  # leaf targets, once per visit
 
     cell_evals = 0
-    T = (np.zeros(1, dtype=INDEX) if cc_on
-         else fl + np.flatnonzero(tcount[fl:fl + ng] > 0).astype(INDEX))
-    S = np.zeros(T.shape[0], dtype=INDEX)
+    T = (np.zeros(1, dtype=idx) if cc_on
+         else fl + np.flatnonzero(t_occupied[fl:fl + ng]).astype(idx))
+    S = np.zeros(T.shape[0], dtype=idx)
+    kids = np.arange(view.branch, dtype=idx)
     # Boolean-mask selection and row gathers go through compress/take:
     # same elements, several times faster than fancy indexing here.
     while T.size:
         kl = klass.take(S)
         skip = kl == KLASS_SKIP
-        # Only a split target can be empty; cc_mac=0 never splits one.
-        occupied = tcount.take(T) > 0 if cc_on else True
         if skip.any():
-            met = skip & occupied & (T >= fl)
-            steps += np.bincount(T.compress(met) - fl, minlength=ng)
-        live = ~skip & occupied
-        if not live.all():
+            visits.append(T.compress(skip & (T >= fl)))
+            live = ~skip
             T, S, kl = T.compress(live), S.compress(live), kl.compress(live)
         internal = kl == KLASS_INTERNAL
-        dmin2 = aabb_dmin2(tlo.take(T, axis=0), thi.take(T, axis=0),
-                           com.take(S, axis=0))
+        tb = tbox.take(T, axis=1)
+        dmin2 = aabb_dmin2(tb[:dim], tb[dim:], com.take(S, axis=1))
         thr = mac_threshold2(dmin2, theta2, mac_margin)
-        src_ok = (internal & (ssize2.take(S) < thr)) | (kl == KLASS_POINT)
+        s2 = ssize2.take(S)
+        src_ok = (internal & (s2 < thr)) | (kl == KLASS_POINT)
         t_leaf = T >= fl
         if cc_on:
             # Cell-cell acceptance: source multipole valid for the whole
             # target box AND target small enough for the truncated
             # Taylor series; dmin2 > 0 keeps the expansion centre
             # strictly outside the source's softening ball.
-            far = src_ok & (tsize2.take(T) < cc2 * thr) & (dmin2 > 0.0)
+            t2 = tsize2.take(T)
+            far = src_ok & (t2 < cc2 * thr) & (dmin2 > 0.0)
             if far.any():
                 far_t.append(T.compress(far))
                 far_s.append(S.compress(far))
@@ -243,16 +254,16 @@ def build_dual_lists(
         # --- leaf targets: accept / emit / open the source ----------
         emit = t_leaf & src_ok
         if emit.any():
-            rows_g.append(T.compress(emit) - fl)
+            rows_g.append(T.compress(emit))
             rows_nd.append(S.compress(emit))
             rows_ap.append(internal.compress(emit))
         exact = t_leaf & (kl == KLASS_EXACT)
         if exact.any():
-            ex_g.append(T.compress(exact) - fl)
+            ex_g.append(T.compress(exact))
             ex_nd.append(S.compress(exact))
         # cc_mac=0 walks leaf targets only.
         leaf_T = T.compress(t_leaf) if cc_on else T
-        steps += np.bincount(leaf_T - fl, minlength=ng)
+        visits.append(leaf_T)
         cell_evals += int(T.size - leaf_T.size)
         open_src = t_leaf & internal & ~src_ok
 
@@ -267,37 +278,43 @@ def build_dual_lists(
             t_int = ~t_leaf & ~far
             split_t = t_int & (src_ok | ~internal)
             rest_int = t_int & internal & ~src_ok
-            bigger_src = ssize2.take(S) > tsize2.take(T)
+            bigger_src = s2 > t2
             open_src |= rest_int & bigger_src
             split_t |= rest_int & ~bigger_src
             if split_t.any():
                 Tt = T.compress(split_t)
                 St = S.compress(split_t)
-                nxt_T.append(np.concatenate([2 * Tt + 1, 2 * Tt + 2]))
-                nxt_S.append(np.concatenate([St, St]))
+                Tc = np.concatenate([2 * Tt + 1, 2 * Tt + 2])
+                Sc = np.concatenate([St, St])
+                full = t_occupied.take(Tc)
+                if not full.all():
+                    Tc, Sc = Tc.compress(full), Sc.compress(full)
+                nxt_T.append(Tc)
+                nxt_S.append(Sc)
         if open_src.any():
             base = first_child.take(S.compress(open_src))
-            nxt_S.append(
-                (base[:, None] + np.arange(branch, dtype=INDEX)).ravel())
-            nxt_T.append(np.repeat(T.compress(open_src), branch))
+            nxt_S.append((base[:, None] + kids).ravel())
+            nxt_T.append(np.repeat(T.compress(open_src), view.branch))
         if not nxt_T:
             break
-        T = np.concatenate(nxt_T).astype(INDEX, copy=False)
-        S = np.concatenate(nxt_S).astype(INDEX, copy=False)
+        T = np.concatenate(nxt_T)
+        S = np.concatenate(nxt_S)
 
+    steps = np.bincount(np.concatenate(visits) - fl, minlength=ng)
     # --- near lists: CSR in each group's DFS emission order ----------
-    stride = INDEX(view.dfs_rank.shape[0])
+    dfs_rank = view.dfs_rank
+    stride = INDEX(dfs_rank.shape[0])
     if rows_g:
-        g_all = np.concatenate(rows_g)
+        g_all = np.concatenate(rows_g).astype(INDEX) - fl
         nd_all = np.concatenate(rows_nd)
         # Unique (group, DFS rank) keys; sorting them recovers each
         # group's stackless-DFS emission order.  At cc_mac=0 every
         # round emits in key order already, which a run-merging sort
         # exploits.
-        order = np.argsort(g_all * stride + view.dfs_rank.take(nd_all),
+        order = np.argsort(g_all * stride + dfs_rank.take(nd_all),
                            kind=None if cc_on else "stable")
-        nodes = nd_all[order]
-        approx = np.concatenate(rows_ap)[order]
+        nodes = nd_all.take(order).astype(INDEX)
+        approx = np.concatenate(rows_ap).take(order)
         counts = np.bincount(g_all, minlength=ng)
     else:
         nodes = empty_idx
@@ -306,21 +323,21 @@ def build_dual_lists(
     offsets = np.zeros(ng + 1, dtype=INDEX)
     np.cumsum(counts, out=offsets[1:])
     if ex_g:
-        eg = np.concatenate(ex_g)
-        en = np.concatenate(ex_nd)
-        order = np.argsort(eg * stride + view.dfs_rank[en])
-        exact_groups, exact_nodes = eg[order], en[order]
+        eg = np.concatenate(ex_g).astype(INDEX) - fl
+        en = np.concatenate(ex_nd).astype(INDEX)
+        order = np.argsort(eg * stride + dfs_rank.take(en))
+        exact_groups, exact_nodes = eg.take(order), en.take(order)
     else:
         exact_groups = exact_nodes = empty_idx
     # Deterministic far order (target, then source DFS rank): the M2L
     # scatter accumulates in this order, keeping the force bitwise
-    # reproducible run to run.
+    # reproducible run to run.  The keys are unique, so any sort gives
+    # this order.
     if far_t:
-        ft = np.concatenate(far_t)
-        fs = np.concatenate(far_s)
-        order = np.argsort(ft.astype(np.int64) * int(stride)
-                           + view.dfs_rank[fs], kind="stable")
-        ft, fs = ft[order], fs[order]
+        ft = np.concatenate(far_t).astype(INDEX)
+        fs = np.concatenate(far_s).astype(INDEX)
+        order = np.argsort(ft * stride + dfs_rank.take(fs))
+        ft, fs = ft.take(order), fs.take(order)
     else:
         ft = fs = empty_idx
     return InteractionLists(offsets, nodes, approx, exact_groups,

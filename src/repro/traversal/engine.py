@@ -100,22 +100,40 @@ def mac_threshold2(
     return theta2 * dmin_eff * dmin_eff
 
 
+def sq_norm(v: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum_d v[d]^2`` of axis-outermost *v* into *out* (*sq* is scratch
+    of *v*'s shape, which may be *v* itself), in the order
+    ``np.einsum("...j,...j")`` sums a point-major row — ``(v0^2 + v2^2)
+    + v1^2`` in 3-D — so a squared distance is the einsum form's bit for
+    bit."""
+    np.multiply(v, v, out=sq)
+    order = (0, 2, 1) if v.shape[0] == 3 else range(v.shape[0])
+    first, *rest = order
+    np.add(sq[first], sq[rest[0]], out=out)
+    for d in rest[1:]:
+        out += sq[d]
+    return out
+
+
 def aabb_dmin2(
     lo: np.ndarray, hi: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
     """Squared distance from points *c* to their axis-aligned boxes.
 
-    For degenerate boxes (``lo == hi``) this is ``|c - lo|^2`` exactly,
-    so the conservative group MAC coincides bit for bit with the
-    per-body criterion at ``group_size=1``.
+    Operands are axis-outermost, ``(dim, k)`` each, so every pass runs
+    over ``k`` contiguous values; the per-axis squares are summed in the
+    fixed order of :func:`sq_norm` — the order ``np.einsum`` sums a
+    point-major ``(k, dim)`` row — so the distance does not depend on
+    the layout it was computed in.  For degenerate boxes (``lo == hi``)
+    this is ``|c - lo|^2`` exactly, so the conservative group MAC
+    coincides bit for bit with the per-body criterion at
+    ``group_size=1``.
     """
-    # In place: same expression, without three fresh temporaries.
-    d = np.subtract(lo, c)
-    np.maximum(d, 0.0, out=d)
-    e = np.subtract(c, hi)
-    np.maximum(e, 0.0, out=e)
-    d += e
-    return np.einsum("ij,ij->i", d, d)
+    # c's offset from its nearest box point: lo - c below the box,
+    # -(c - hi) above it, 0 inside; the sign drops out in the square.
+    d = np.clip(c, lo, hi)
+    d -= c
+    return sq_norm(d, d, np.empty(d.shape[1:], dtype=d.dtype))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from repro.physics.multipole import quadrupole_accel
-from repro.traversal.engine import InteractionLists, TreeView
+from repro.traversal.engine import InteractionLists, TreeView, sq_norm
 from repro.traversal.groups import BodyGroups
 from repro.types import FLOAT
 
@@ -77,6 +77,12 @@ QUAD_SLOTS = 1 << 12
 #: zero) get exactly zero weight.  Accepted nodes are separated by the
 #: MAC and only checked for ``r^2 <= 0``.
 CANCEL = 2.0 ** -8
+
+#: Padded-minus-real slots a bucket may hold (:func:`_pack`): about a
+#: third of a chunk's tile.  10-30 k measured alike; 60 k lost most of
+#: the gain (EXPERIMENTS.md, "Padding-bounded buckets and an
+#: axis-outermost list walk").
+PAD_SLOTS = 20_000
 
 #: Kinds whose columns are body rows (sorted order), not tree nodes.
 BODY_KINDS = ("one", "two", "tri")
@@ -188,15 +194,14 @@ class FlatLists:
 
 
 def _padded(src: np.ndarray, lo: np.ndarray, ln: np.ndarray,
-            width: np.ndarray, base: np.ndarray, size: int, pad: int,
-            dtype) -> np.ndarray:
+            base: np.ndarray, size: int, pad: int, dtype) -> np.ndarray:
     """Ranges ``src[lo[i]:lo[i] + ln[i]]`` laid out from ``base[i]`` in
-    one flat array of *size* entries, each padded with *pad* to
-    ``width[i]``: one scatter for every block of every bucket."""
+    one flat array of *size* entries, the rest *pad*: one scatter for
+    every block of every bucket."""
     out = np.full(size, pad, dtype=dtype)
-    total = int(ln.sum())
-    step = np.arange(total, dtype=np.int64) - np.repeat(_starts(ln), ln)
-    out[np.repeat(base, ln) + step] = src[np.repeat(lo, ln) + step]
+    at = np.arange(int(ln.sum()), dtype=np.int64)
+    at += np.repeat(lo - _starts(ln), ln)  # source positions
+    out[at + np.repeat(base - lo, ln)] = src.take(at)
     return out
 
 
@@ -216,11 +221,13 @@ def _pack(
     padded :class:`DenseBucket`\\ s.
 
     Blocks without columns are dropped.  The rest are binned by row
-    count in power-of-two classes, sorted by column count within a
-    class, and cut wherever a block is less than half as wide as the
-    bucket's widest, so every block fills at least a quarter of its
-    padded tile: each bucket costs a fixed ~40 numpy calls per chunk,
-    which at these block sizes outweighs the padding.  *self_col*
+    count in power-of-two classes and sorted by column count within a
+    class; each bucket then takes the longest run of blocks whose padded
+    tiles hold at most :data:`PAD_SLOTS` slots more than their real
+    ones, found by one search per bucket (a lone block has no padding).
+    Bounding the padding, not the fill, lets narrow blocks share one
+    bucket and its fixed ~40 numpy calls per chunk while wide ones stop
+    paying for slots that carry nothing.  *self_col*
     (``row_pad + 1`` entries, -1 for none) is the column of each row's
     own point leaf within its block.  Every bucket's matrices are views
     of two flat arrays, filled for all buckets at once.
@@ -231,20 +238,29 @@ def _pack(
     rcls = np.floor(np.log2(row_len[keep]))
     o = np.lexsort((-col_len[keep], -rcls))
     order = keep[o]
-    k_sorted = col_len[order]
+    nr, nc = row_len[order], col_len[order]
+    real = np.cumsum(nr * nc)  # real slots of blocks 0..j
+    count = np.arange(1, order.size + 1)
     cls_end = np.append(np.flatnonzero(np.diff(rcls[o])) + 1, order.size)
     cuts = [0]
     i = 0
     for end in cls_end.tolist():
         while i < end:
-            i += int(np.searchsorted(-k_sorted[i:end], -0.5 * k_sorted[i],
-                                     side="right"))
+            # Padded slots of the bucket [i, j] as j grows, less its
+            # real slots: never decreasing, since a block adds a padded
+            # tile that covers it.  Real slots before i move to the
+            # bound.
+            pad = np.maximum.accumulate(nr[i:end])
+            pad *= count[:end - i]
+            pad *= nc[i]
+            pad -= real[i:end]
+            bound = PAD_SLOTS - (int(real[i - 1]) if i else 0)
+            i += max(1, int(np.searchsorted(pad, bound, side="right")))
             cuts.append(i)
     cuts = np.asarray(cuts)
     nb = np.diff(cuts)
-    nr, nc = row_len[order], col_len[order]
     bmax = np.maximum.reduceat(nr, cuts[:-1])
-    kmax = k_sorted[cuts[:-1]]
+    kmax = nc[cuts[:-1]]
     # Each block's bucket, row and column widths, and its place in the
     # flat row / column arrays.
     bw = np.repeat(bmax, nb)
@@ -254,9 +270,9 @@ def _pack(
     c_at = _starts(nb * kmax)
     rdt = _idx_dtype(row_pad + 1)
     cdt = _idx_dtype(col_pad + 1)
-    row_all = _padded(rows, row_lo[order], nr, bw, r_base, int(bw.sum()),
+    row_all = _padded(rows, row_lo[order], nr, r_base, int(bw.sum()),
                       row_pad, rdt)
-    col_all = _padded(cols, col_lo[order], nc, kw, c_base, int(kw.sum()),
+    col_all = _padded(cols, col_lo[order], nc, c_base, int(kw.sum()),
                       col_pad, cdt)
     # The kernel gathers with ``mode="clip"``, which would read a wrong
     # row or source silently: an index outside its table fails here.
@@ -348,7 +364,8 @@ def _near_blocks(e_g: np.ndarray, e_j: np.ndarray, e_b: np.ndarray,
     gmax = int(gsz.max())
     in_i = np.zeros((nrun, gmax), dtype=bool)
     e = np.flatnonzero(has[run_of])
-    in_i[rev[run_of[e]], e_j[e] - go[e_b[e]]] = True
+    in_i.reshape(-1)[rev.take(run_of.take(e)) * gmax
+                     + e_j.take(e) - go.take(e_b.take(e))] = True
     whole = np.count_nonzero(in_i, axis=1) == gsz[a]  # B lists all of A
     others = ~in_i & (np.arange(gmax) < gsz[a][:, None])
     # Runs of one A with the same I share the rows of their blocks: I
@@ -417,9 +434,9 @@ def build_flat_lists(
     go = groups.offsets.astype(np.int64)
     gsz = np.diff(go)
     off = lists.offsets.astype(np.int64)
-    apref = np.concatenate(
-        ([0], np.cumsum(lists.approx, dtype=np.int64)))
-    ca = apref[off[1:]] - apref[off[:-1]]  # approx entries per group
+    apref = np.zeros(off[-1] + 1, dtype=np.int64)
+    np.cumsum(lists.approx, out=apref[1:])
+    ca = apref.take(off[1:]) - apref.take(off[:-1])  # approx per group
     cd = counts - ca
 
     ids = None if body_ids is None else np.asarray(body_ids)
@@ -433,10 +450,10 @@ def build_flat_lists(
         row_of[ids] = np.arange(n, dtype=np.int64)
 
     approx = lists.approx
-    dnodes = lists.nodes[~approx]
+    dnodes = lists.nodes.compress(~approx)
     group_rows = (np.arange(n, dtype=np.int64), go[:-1], gsz)
-    buckets = _pack("node", *group_rows, lists.nodes[approx], _starts(ca),
-                    ca, n, nn)
+    buckets = _pack("node", *group_rows, lists.nodes.compress(approx),
+                    _starts(ca), ca, n, nn)
 
     if not n3l:
         self_col = None
@@ -466,7 +483,10 @@ def build_flat_lists(
     includes_exact = exact_bodies is not None
 
     key = np.sort(e_g * np.int64(n) + e_j)
-    e_g, e_j = np.divmod(key, np.int64(max(n, 1)))
+    # Sorted keys keep each group's entries together, in group order.
+    e_g = np.repeat(np.arange(ng, dtype=np.int64),
+                    np.bincount(e_g, minlength=ng))
+    e_j = key - e_g * np.int64(n)
     e_b = grow[e_j]  # source group of each entry
     # Every entry meets |A| rows; a source row in A meets itself once.
     pairs_naive = int(gsz[e_g].sum()) - int(np.count_nonzero(e_b == e_g))
@@ -476,26 +496,11 @@ def build_flat_lists(
                      includes_exact=includes_exact)
 
 
-def _sq_norm(v: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sum_d v[d]^2`` of axis-outermost *v* into *out* (*sq* is scratch
-    of *v*'s shape), in the order ``np.einsum("...j,...j")`` sums a
-    point-major row — ``(v0^2 + v2^2) + v1^2`` in 3-D — so an explicit
-    difference's ``r^2`` is the einsum form's bit for bit."""
-    np.multiply(v, v, out=sq)
-    order = (0, 2, 1) if v.shape[0] == 3 else range(v.shape[0])
-    first, *rest = order
-    np.add(sq[first], sq[rest[0]], out=out)
-    for d in rest[1:]:
-        out += sq[d]
-    return out
-
-
 def _shapes(dim: int, g: int, B: int, K: int) -> dict:
     """Shape of every kernel operand for a chunk of *g* ``B x K``
     blocks: tiles, then axis-outermost row and column operands."""
     return {"P": (g, B, K), "S": (g, B, K), "hit": (g, B * K),
-            "XA": (dim + 2, g, B), "YA": (dim + 2, g, K),
-            "X": (dim, g, B), "X2": (dim, g, B), "Y2": (dim, g, K),
+            "XA": (dim + 2, g, B), "YA": (dim + 2, g, K), "X": (dim, g, B),
             "SY": (dim + 1, g, K), "F": (dim + 1, g, B),
             "SX": (dim + 1, g, B), "R": (dim + 1, g, K)}
 
@@ -632,8 +637,9 @@ def _eval_buckets(
             ctr = Xg[:, :, :1].copy()  # a real row of each block
             Xg -= ctr
             Yg -= ctr
-            x2 = _sq_norm(Xg, ops["X2"], XA[dim])
-            _sq_norm(Yg, ops["Y2"], YA[dim + 1])
+            # Squares go to operand rows written only further down.
+            x2 = sq_norm(Xg, XA[:dim], XA[dim])
+            sq_norm(Yg, SY[:dim], YA[dim + 1])
             thr = 0.0
             if direct:
                 # The rows' squared extent about the centre, R^2, bounds
@@ -747,7 +753,7 @@ def _explicit(pos: np.ndarray, gm: np.ndarray, hits: list,
     real = np.concatenate([h[2] for h in hits])
     d = pos.take(si, axis=1)
     d -= pos.take(ti, axis=1)
-    r2 = _sq_norm(d, np.empty_like(d), np.empty(ti.size, dtype=FLOAT))
+    r2 = sq_norm(d, np.empty_like(d), np.empty(ti.size, dtype=FLOAT))
     r2 += eps2
     zero = r2 <= 0.0
     r2[zero] = np.inf

@@ -176,6 +176,25 @@ class TestFlatMatchesTile:
         assert np.array_equal(auto1, tile1)
 
 
+def _assert_two_sided_conserve(view, fl, xs, m, eps2,
+                               evaluate=evaluate_flat):
+    """The two-sided buckets of *fl* alone, some of them padding blocks
+    of several shapes, net zero momentum to 1e-12 of the impulse
+    scale."""
+    two_only = dataclasses.replace(
+        fl, buckets=[b for b in fl.buckets if b.kind in MUTUAL_KINDS],
+        _scratch={})
+    assert two_only.n_two_sided > 0 and two_only.n_one_sided == 0
+    assert {b.kind for b in two_only.buckets} == {"two", "tri"}
+    assert any(np.unique(b.n_rows).size > 1 and np.unique(b.n_cols).size > 1
+               for b in two_only.buckets)
+    acc, _ = evaluate(view, two_only, xs, G=1.0, eps2=eps2, m_sorted=m)
+    assert np.any(acc != 0.0)
+    net = (m[:, None] * acc).sum(axis=0)
+    scale = np.abs(m[:, None] * acc).sum(axis=0).max()
+    assert np.all(np.abs(net) < 1e-12 * scale)
+
+
 class TestNewtonThirdLaw:
     def _flat(self, n=500, group_size=16, theta=0.5):
         s = galaxy_collision(n, seed=11)
@@ -196,19 +215,11 @@ class TestNewtonThirdLaw:
 
     def test_two_sided_pool_conserves_momentum(self):
         """Each deduped pair scatters an equal and opposite impulse:
-        the two-sided blocks' row sums and reactions share one tile."""
+        the two-sided blocks' row sums and reactions share one tile,
+        also where a bucket pads blocks of several shapes."""
         bvh, view, _, fl = self._flat()
-        two_only = dataclasses.replace(
-            fl, buckets=[b for b in fl.buckets if b.kind in MUTUAL_KINDS],
-            _scratch={})
-        assert two_only.n_two_sided > 0 and two_only.n_one_sided == 0
-        assert {b.kind for b in two_only.buckets} == {"two", "tri"}
-        acc, _ = evaluate_flat(view, two_only, bvh.x_sorted,
-                               G=1.0, eps2=1e-4, m_sorted=bvh.m_sorted)
-        assert np.any(acc != 0.0)
-        net = (bvh.m_sorted[:, None] * acc).sum(axis=0)
-        scale = np.abs(bvh.m_sorted[:, None] * acc).sum(axis=0).max()
-        assert np.all(np.abs(net) < 1e-12 * scale)
+        _assert_two_sided_conserve(view, fl, bvh.x_sorted, bvh.m_sorted,
+                                   1e-4)
 
     def test_stats_expose_dedup(self):
         bvh, view, _, fl = self._flat()
@@ -505,16 +516,8 @@ class TestDistributed:
         for view, fl, xs, kw in local:
             kinds = {b.kind for b in fl.buckets}
             assert "two" in kinds and "leaf" not in kinds
-            two_only = dataclasses.replace(
-                fl, buckets=[b for b in fl.buckets if b.kind in MUTUAL_KINDS],
-                _scratch={})
-            m = kw["m_sorted"]
-            acc, _ = evaluate(view, two_only, xs, G=1.0, eps2=kw["eps2"],
-                              m_sorted=m)
-            assert np.any(acc != 0.0)
-            net = (m[:, None] * acc).sum(axis=0)
-            scale = np.abs(m[:, None] * acc).sum(axis=0).max()
-            assert np.all(np.abs(net) < 1e-12 * scale)
+            _assert_two_sided_conserve(view, fl, xs, kw["m_sorted"],
+                                       kw["eps2"], evaluate)
 
     @pytest.mark.parametrize("alg", ["bvh", "octree"])
     def test_ranks2_flat_matches_tile(self, alg):
@@ -524,3 +527,96 @@ class TestDistributed:
         flat, _ = _forces(s, algorithm=alg, traversal="grouped",
                           eval_mode="flat", ranks=2)
         assert relative_l2_error(flat, tile) < RTOL
+
+
+def _random_blocks(rng, n_blocks: int, n: int):
+    """Blocks over rows/columns ``0..n-1``: row and column ranges of
+    random lengths (some without columns) in two flat arrays."""
+    row_len = rng.integers(1, 48, n_blocks)
+    col_len = rng.integers(0, 400, n_blocks) * (rng.random(n_blocks) < 0.9)
+    rows = rng.integers(0, n, int(row_len.sum()))
+    cols = rng.integers(0, n, int(col_len.sum()))
+    return rows, row_len, cols, col_len
+
+
+class TestPackBuckets:
+    """:func:`repro.traversal.flat._pack` cuts buckets by a padding bound."""
+
+    @pytest.mark.parametrize("bound", [0, 500, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocks_buckets_and_padding(self, seed, bound, monkeypatch):
+        import repro.traversal.flat as flat_mod
+
+        monkeypatch.setattr(flat_mod, "PAD_SLOTS", bound)
+        rng = np.random.default_rng(seed)
+        n = 1000
+        rows, row_len, cols, col_len = _random_blocks(rng, 300, n)
+        row_lo = np.cumsum(row_len) - row_len
+        col_lo = np.cumsum(col_len) - col_len
+        buckets = flat_mod._pack("one", rows, row_lo, row_len, cols, col_lo,
+                                 col_len, n, n + 1)
+        want = sorted(
+            (tuple(rows[a:a + b]), tuple(cols[c:c + d]))
+            for a, b, c, d in zip(row_lo, row_len, col_lo, col_len) if d)
+        got = []
+        for bk in buckets:
+            nr, nc = bk.n_rows, bk.n_cols
+            B, K = bk.row_mat.shape[1], bk.col_mat.shape[1]
+            assert (B, K) == (nr.max(), nc.max())
+            # One power-of-two row class per bucket.
+            assert np.unique(np.floor(np.log2(nr))).size == 1
+            # Real entries verbatim, then the pads.
+            for i in range(nr.size):
+                got.append((tuple(bk.row_mat[i, :nr[i]]),
+                            tuple(bk.col_mat[i, :nc[i]])))
+                assert np.all(bk.row_mat[i, nr[i]:] == n)
+                assert np.all(bk.col_mat[i, nc[i]:] == n + 1)
+            # The bound holds; a lone block carries no padding at all.
+            assert nr.size * B * K - int(nr @ nc) <= bound
+        # Every block with columns lands in exactly one bucket.
+        assert sorted(got) == want
+
+    @pytest.mark.parametrize("bound", [500, 20_000])
+    def test_buckets_are_maximal(self, bound, monkeypatch):
+        """Each bucket takes the longest run its bound allows: adding
+        the next block of its row class would break the bound."""
+        import repro.traversal.flat as flat_mod
+
+        monkeypatch.setattr(flat_mod, "PAD_SLOTS", bound)
+        rng = np.random.default_rng(5)
+        rows, row_len, cols, col_len = _random_blocks(rng, 300, 500)
+        buckets = flat_mod._pack(
+            "one", rows, np.cumsum(row_len) - row_len, row_len, cols,
+            np.cumsum(col_len) - col_len, col_len, 500, 501)
+        assert len(buckets) > 1
+        for bk, nxt in zip(buckets, buckets[1:]):
+            if np.floor(np.log2(nxt.n_rows[0])) != np.floor(
+                    np.log2(bk.n_rows[0])):
+                continue  # the next block starts another row class
+            nr = np.append(bk.n_rows, nxt.n_rows[0])
+            nc = np.append(bk.n_cols, nxt.n_cols[0])
+            assert nr.size * nr.max() * nc.max() - int(nr @ nc) > bound
+
+    def test_one_node_block_per_group(self):
+        """Accepted-node blocks: one per group with approx entries, its
+        rows the group's and its columns the group's list verbatim."""
+        s = galaxy_collision(800, seed=2)
+        bvh = build_bvh(s.x, s.m)
+        view = bvh_tree_view(bvh)
+        groups = make_groups(bvh.x_sorted, 16)
+        lists = build_interaction_lists(view, groups, 0.5)
+        fl = build_flat_lists(view, lists, groups)
+        go = groups.offsets
+        seen = {}
+        for bk in (b for b in fl.buckets if b.kind == "node"):
+            for i in range(bk.n_rows.size):
+                r = bk.row_mat[i, :bk.n_rows[i]]
+                g = int(np.searchsorted(go, r[0], side="right")) - 1
+                assert g not in seen
+                assert np.array_equal(r, np.arange(go[g], go[g + 1]))
+                seen[g] = bk.col_mat[i, :bk.n_cols[i]]
+        for g in range(groups.n_groups):
+            nodes = lists.approx_nodes(g)
+            if nodes.size:
+                assert np.array_equal(seen.pop(g), nodes)
+        assert not seen

@@ -37,13 +37,14 @@ from repro.traversal.engine import (
     KLASS_POINT,
     InteractionLists,
     TreeView,
-    aabb_dmin2,
     build_interaction_lists,
     mac_threshold2,
 )
 from repro.traversal.groups import BodyGroups
 from repro.types import INDEX
 from repro.workloads import galaxy_collision, plummer_sphere
+
+from tests.dual_walk_oracle import einsum_dmin2
 
 
 def _reference_frontier_sweep(
@@ -87,7 +88,7 @@ def _reference_frontier_sweep(
         steps += np.bincount(g, minlength=ng)
         kl = klass[nd]
         internal = kl == KLASS_INTERNAL
-        dmin2 = aabb_dmin2(glo[g], ghi[g], com[nd])
+        dmin2 = einsum_dmin2(glo[g], ghi[g], com[nd])
         accept = internal & (size2[nd] < mac_threshold2(dmin2, theta2,
                                                         mac_margin))
         emit = accept | (kl == KLASS_POINT)
