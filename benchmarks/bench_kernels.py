@@ -4,15 +4,18 @@ reproduction's vectorized pipeline steps (not modeled device times).
 These measure the Python/numpy kernels themselves, giving the baseline
 behind every figure's "host" measurement and tracking regressions in
 the implementation.  The ``kernels-layers`` group times the three force
-layers of the benchmark workloads (``perfbench/workloads.py``) on the
-inputs of their first step: the list walk (``build_dual_lists``), the
-batch preparation (``build_flat_lists``) and the batch kernel
-(``evaluate_flat``), each over every call one set-up plus one step
-makes.  Run them alone with::
+layers of the benchmark workloads (``make_workloads`` in
+``perfbench/workloads.py``) on the inputs of their first step: the list
+walk (``build_dual_lists``), the batch preparation (``build_flat_lists``)
+and the batch kernel (``evaluate_flat``), each over every call one set-up
+plus one step makes.  Run them alone with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py \
         -k layers --benchmark-only
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ import repro.traversal.dual
 import repro.traversal.flat
 from repro.bvh.build import build_bvh
 from repro.bvh.force import bvh_accelerations
-from repro.core.config import SimulationConfig
 from repro.core.simulation import Simulation
 from repro.geometry.aabb import compute_bounding_box, quantize_to_grid
 from repro.geometry.hilbert import hilbert_encode
@@ -33,7 +35,10 @@ from repro.octree.multipoles import compute_multipoles_vectorized
 from repro.physics.gravity import GravityParams
 from repro.traversal.dual import build_dual_lists
 from repro.traversal.flat import build_flat_lists, evaluate_flat
-from repro.workloads import galaxy_collision, plummer_sphere
+from repro.workloads import galaxy_collision
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import make_workloads  # noqa: E402
 
 N = 4000
 PARAMS = GravityParams(softening=0.05)
@@ -118,26 +123,13 @@ def test_allpairs_force(benchmark, system):
     )
 
 
-#: The benchmark workloads' inputs and configurations, as in
-#: ``perfbench/workloads.py``: (generator, bodies, config).
-WORKLOADS = {
-    "galaxy-bvh-refit": (
-        galaxy_collision, 3000,
-        SimulationConfig(algorithm="bvh", traversal="grouped",
-                         tree_update="refit")),
-    "plummer-octree-rebuild": (
-        plummer_sphere, 4000,
-        SimulationConfig(algorithm="octree", traversal="grouped")),
-    "galaxy-bvh-dual-ranks2": (
-        galaxy_collision, 8000,
-        SimulationConfig(algorithm="bvh", traversal="dual", ranks=2)),
-}
+WORKLOADS = make_workloads()
 
 
 def _first_step_calls(name: str) -> dict:
     """Arguments of every walk, batch preparation and batch evaluation
     that setting up *name* and running its first step makes."""
-    generate, n, config = WORKLOADS[name]
+    w = WORKLOADS[name]
     calls: dict = {"walk": [], "prep": [], "eval": []}
 
     def spy(kind, fn):
@@ -154,7 +146,7 @@ def _first_step_calls(name: str) -> dict:
         mp.setattr(repro.traversal.flat, "build_flat_lists", prep)
         mp.setattr(repro.traversal.flat, "evaluate_flat",
                    spy("eval", evaluate_flat))
-        Simulation(generate(n, seed=0), config).run(1)
+        Simulation(w.generate(w.n, seed=0), w.config).run(1)
     return calls
 
 

@@ -175,9 +175,7 @@ def build_dual_lists(
     starts at the occupied leaf targets with the source root.
 
     Each round gathers its operands from axis-outermost ``(dim, n)``
-    tables (the target boxes in one) by ``take``, in 32-bit indices when
-    both trees fit; leaf-target visits are counted once, after the
-    loop.  The emitted arrays are ``INDEX``.
+    tables (the target boxes in one) by ``take``.
     """
     empty_idx = np.empty(0, dtype=INDEX)
     ng = tt.n_groups
@@ -198,11 +196,6 @@ def build_dual_lists(
     tsize2 = tt.size2
     cc_on = cc_mac > 0.0
     dim = view.com.shape[1]
-    # Working indices: children reach 2 * n_target_nodes and
-    # first_child + branch.
-    bound = max(2 * tt.count.shape[0], klass.shape[0] + view.branch)
-    idx = np.int32 if bound <= np.iinfo(np.int32).max else INDEX
-    first_child = view.first_child.astype(idx)
     # Axis-outermost tables: one take per round gathers a contiguous
     # row per axis.
     com = np.ascontiguousarray(view.com.T)
@@ -216,20 +209,21 @@ def build_dual_lists(
     ex_nd: list[np.ndarray] = []
     far_t: list[np.ndarray] = []
     far_s: list[np.ndarray] = []
-    visits: list[np.ndarray] = []  # leaf targets, once per visit
 
+    steps = np.zeros(ng, dtype=np.int64)
     cell_evals = 0
-    T = (np.zeros(1, dtype=idx) if cc_on
-         else fl + np.flatnonzero(t_occupied[fl:fl + ng]).astype(idx))
-    S = np.zeros(T.shape[0], dtype=idx)
-    kids = np.arange(view.branch, dtype=idx)
+    T = (np.zeros(1, dtype=INDEX) if cc_on
+         else fl + np.flatnonzero(t_occupied[fl:fl + ng]).astype(INDEX))
+    S = np.zeros(T.shape[0], dtype=INDEX)
+    kids = np.arange(view.branch, dtype=INDEX)
     # Boolean-mask selection and row gathers go through compress/take:
     # same elements, several times faster than fancy indexing here.
     while T.size:
         kl = klass.take(S)
         skip = kl == KLASS_SKIP
         if skip.any():
-            visits.append(T.compress(skip & (T >= fl)))
+            steps += np.bincount(T.compress(skip & (T >= fl)) - fl,
+                                 minlength=ng)
             live = ~skip
             T, S, kl = T.compress(live), S.compress(live), kl.compress(live)
         internal = kl == KLASS_INTERNAL
@@ -263,7 +257,7 @@ def build_dual_lists(
             ex_nd.append(S.compress(exact))
         # cc_mac=0 walks leaf targets only.
         leaf_T = T.compress(t_leaf) if cc_on else T
-        visits.append(leaf_T)
+        steps += np.bincount(leaf_T - fl, minlength=ng)
         cell_evals += int(T.size - leaf_T.size)
         open_src = t_leaf & internal & ~src_ok
 
@@ -292,7 +286,7 @@ def build_dual_lists(
                 nxt_T.append(Tc)
                 nxt_S.append(Sc)
         if open_src.any():
-            base = first_child.take(S.compress(open_src))
+            base = view.first_child.take(S.compress(open_src))
             nxt_S.append((base[:, None] + kids).ravel())
             nxt_T.append(np.repeat(T.compress(open_src), view.branch))
         if not nxt_T:
@@ -300,12 +294,11 @@ def build_dual_lists(
         T = np.concatenate(nxt_T)
         S = np.concatenate(nxt_S)
 
-    steps = np.bincount(np.concatenate(visits) - fl, minlength=ng)
     # --- near lists: CSR in each group's DFS emission order ----------
     dfs_rank = view.dfs_rank
     stride = INDEX(dfs_rank.shape[0])
     if rows_g:
-        g_all = np.concatenate(rows_g).astype(INDEX) - fl
+        g_all = np.concatenate(rows_g) - fl
         nd_all = np.concatenate(rows_nd)
         # Unique (group, DFS rank) keys; sorting them recovers each
         # group's stackless-DFS emission order.  At cc_mac=0 every
@@ -313,7 +306,7 @@ def build_dual_lists(
         # exploits.
         order = np.argsort(g_all * stride + dfs_rank.take(nd_all),
                            kind=None if cc_on else "stable")
-        nodes = nd_all.take(order).astype(INDEX)
+        nodes = nd_all.take(order)
         approx = np.concatenate(rows_ap).take(order)
         counts = np.bincount(g_all, minlength=ng)
     else:
@@ -323,8 +316,8 @@ def build_dual_lists(
     offsets = np.zeros(ng + 1, dtype=INDEX)
     np.cumsum(counts, out=offsets[1:])
     if ex_g:
-        eg = np.concatenate(ex_g).astype(INDEX) - fl
-        en = np.concatenate(ex_nd).astype(INDEX)
+        eg = np.concatenate(ex_g) - fl
+        en = np.concatenate(ex_nd)
         order = np.argsort(eg * stride + dfs_rank.take(en))
         exact_groups, exact_nodes = eg.take(order), en.take(order)
     else:
@@ -334,8 +327,8 @@ def build_dual_lists(
     # reproducible run to run.  The keys are unique, so any sort gives
     # this order.
     if far_t:
-        ft = np.concatenate(far_t).astype(INDEX)
-        fs = np.concatenate(far_s).astype(INDEX)
+        ft = np.concatenate(far_t)
+        fs = np.concatenate(far_s)
         order = np.argsort(ft * stride + dfs_rank.take(fs))
         ft, fs = ft.take(order), fs.take(order)
     else:
